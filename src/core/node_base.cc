@@ -82,6 +82,7 @@ void NodeBase::ReplayWal() {
     Value value;
     VpId date;
     EpochId epoch;
+    uint64_t op_id;
   };
   std::map<TxnId, std::map<ObjectId, PendingWrite>> pending;
   // BeginReplay salvages the log first (checksummed integrity mode): an
@@ -111,7 +112,7 @@ void NodeBase::ReplayWal() {
         // resolve against, so it cannot be re-staged.
         if (!rec.txn.valid()) break;
         pending[rec.txn][rec.obj] = PendingWrite{rec.value, rec.date,
-                                                 rec.epoch};
+                                                 rec.epoch, rec.op_id};
         break;
       case storage::WalRecord::Type::kOutcome:
         remote_outcomes_[rec.txn] = rec.committed;
@@ -138,7 +139,8 @@ void NodeBase::ReplayWal() {
       env_.locks->Acquire(txn, obj, cc::LockMode::kExclusive, lock_timeout_,
                           [&granted](Status s) { granted = s.ok(); });
       VP_CHECK_MSG(granted, "replay lock must grant on an empty table");
-      Status st = env_.store->StageWrite(txn, obj, w.value, w.date, w.epoch);
+      Status st = env_.store->StageWrite(txn, obj, w.value, w.date, w.epoch,
+                                         w.op_id);
       VP_CHECK(st.ok());
       rt.staged.insert(obj);
     }
@@ -478,7 +480,10 @@ void NodeBase::HandlePhysWrite(const net::Message& m) {
                trace);
           return;
         }
-        Status st = env_.store->StageWrite(txn, obj, value, date, epoch);
+        // A late duplicate of an older write of this transaction is refused
+        // here (stale-op); the coordinator no longer awaits its reply.
+        Status st =
+            env_.store->StageWrite(txn, obj, value, date, epoch, op_id);
         if (!st.ok()) {
           ctr_phys_nacks_->Increment();
           SendPhys(reply_to, msg::kPhysWriteReply,

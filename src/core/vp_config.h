@@ -22,11 +22,14 @@ enum class RecoveryMode {
   /// §5 baseline: read every copy in the view, in its entirety, take the
   /// value with the maximum date.
   kFullRead,
-  /// §6 optimization 1: use the previous-vp values collected during
-  /// partition creation — skip initialization entirely when all members
-  /// come from the same previous partition (the common "split" case), and
-  /// otherwise read only the copies of the members with the maximal
-  /// previous partition.
+  /// §6 optimization 1 (the default): when every member of the new view
+  /// comes from the same previous partition (the common "split" case),
+  /// skip initialization of every copy that is not dirty — a copy is dirty
+  /// while its own initialization in an earlier view has not completed
+  /// (DESIGN.md deviation 9). Any other view does the §5 full read; it
+  /// does not narrow the read to the members with the maximal previous
+  /// partition, since which copy is freshest is not locally known
+  /// (DESIGN.md deviation 6).
   kPreviousSkip,
   /// §6 optimization 2 (implies optimization 1's targeting): fetch only the
   /// log of writes missed since the local copy's date instead of the full
@@ -63,8 +66,9 @@ struct VpConfig {
   /// for in-doubt participants to query the coordinator.
   sim::Duration outcome_retry_period = sim::Millis(40);
 
-  /// How copies are initialized when joining a partition (R5).
-  RecoveryMode recovery = RecoveryMode::kFullRead;
+  /// How copies are initialized when joining a partition (R5). kFullRead
+  /// stays available as the §5 comparator.
+  RecoveryMode recovery = RecoveryMode::kPreviousSkip;
 
   /// R2 allows a failed physical read to be retried at another copy before
   /// aborting; Fig. 10 as printed aborts immediately (the default).

@@ -60,18 +60,22 @@ Result<CopyVersion> ReplicaStore::Read(ObjectId obj) const {
 }
 
 Status ReplicaStore::StageWrite(TxnId txn, ObjectId obj, Value value,
-                                VpId date, EpochId epoch) {
+                                VpId date, EpochId epoch, uint64_t op_id) {
   if (copies_.count(obj) == 0) return Status::NotFound("no local copy");
   auto it = stages_.find(obj);
-  if (it != stages_.end() && !(it->second.txn == txn)) {
-    return Status::Busy("copy already staged by " + it->second.txn.ToString());
+  if (it != stages_.end()) {
+    if (!(it->second.txn == txn)) {
+      return Status::Busy("copy already staged by " +
+                          it->second.txn.ToString());
+    }
+    if (op_id < it->second.op_id) return Status::Aborted("stale-op");
   }
-  stages_[obj] = Stage{txn, std::move(value), date};
+  stages_[obj] = Stage{txn, std::move(value), date, op_id};
   ++stats_.stages;
   if (stable_ != nullptr) {
     const Stage& s = stages_[obj];
     stable_->AppendWal(WalRecord{WalRecord::Type::kPrepare, txn, epoch, obj,
-                                 s.value, s.date, false});
+                                 s.value, s.date, false, op_id});
   }
   return Status::Ok();
 }

@@ -91,10 +91,14 @@ class ReplicaStore {
 
   /// Stages `value` on behalf of `txn`. At most one stage per copy may
   /// exist (the CC layer's exclusive lock enforces this); staging over an
-  /// existing stage by the same txn replaces it. `epoch` stamps the WAL
-  /// prepare record with the configuration epoch the write ran under.
+  /// existing stage by the same txn replaces it — unless the stage came
+  /// from a newer op (`op_id` greater than this one's), in which case the
+  /// call is a late duplicate of an older write and fails with Aborted
+  /// ("stale-op"). Both writes carry the same date, so letting the older
+  /// value win could never be repaired by a max-date read. `epoch` and
+  /// `op_id` are stamped on the WAL prepare record.
   Status StageWrite(TxnId txn, ObjectId obj, Value value, VpId date,
-                    EpochId epoch = 0);
+                    EpochId epoch = 0, uint64_t op_id = 0);
 
   /// True if `obj` has a staged-but-undecided write.
   bool HasStage(ObjectId obj) const { return stages_.count(obj) > 0; }
@@ -136,6 +140,7 @@ class ReplicaStore {
     TxnId txn;
     Value value;
     VpId date;
+    uint64_t op_id = 0;
   };
 
   /// Writes obj's full committed image to the stable device (no-op when

@@ -39,8 +39,9 @@ const char* WalRecordTypeName(WalRecord::Type type) {
 
 uint64_t WriteAheadLog::RecordBytes(const WalRecord& rec) {
   // Fixed header: type + txn id + epoch + object id + date + outcome flag.
+  // A prepare adds its op id and value.
   uint64_t bytes = 1 + 12 + 4 + 4 + 8 + 1;
-  if (rec.type == WalRecord::Type::kPrepare) bytes += rec.value.size();
+  if (rec.type == WalRecord::Type::kPrepare) bytes += 8 + rec.value.size();
   return bytes;
 }
 
@@ -54,6 +55,7 @@ uint64_t WriteAheadLog::Checksum(const WalRecord& rec) {
   FnvMix(&h, rec.date.n);
   FnvMix(&h, rec.date.p);
   FnvMix(&h, rec.committed ? 1 : 0);
+  FnvMix(&h, rec.op_id);
   FnvMixBytes(&h, rec.value);
   return h;
 }

@@ -9,7 +9,8 @@
 // the commit decisions it announced (aborts are presumed and need no
 // record). Three record types cover this:
 //
-//   kPrepare  — participant staged a write for (txn, obj): value + date.
+//   kPrepare  — participant staged a write for (txn, obj): value + date,
+//               and the id of the physical op that carried it.
 //   kOutcome  — participant applied the decision for txn locally
 //               (committed or aborted); earlier prepares for txn are dead.
 //   kDecision — coordinator decided commit for txn. Abort decisions are
@@ -53,6 +54,10 @@ struct WalRecord {
   VpId date = kEpochDate;
   // kOutcome only:
   bool committed = false;
+  // kPrepare only: the coordinator's id of the physical op that staged the
+  // write. Replay restores it with the stage, so a pre-crash duplicate of
+  // an older op of the transaction still cannot replace the stage.
+  uint64_t op_id = 0;
 };
 
 const char* WalRecordTypeName(WalRecord::Type type);

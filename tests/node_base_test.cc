@@ -7,6 +7,7 @@
 #include "core/test_env.h"
 #include "core/vp_node.h"
 #include "harness/cluster.h"
+#include "storage/stable_store.h"
 #include "test_util.h"
 
 namespace vp {
@@ -171,6 +172,109 @@ TEST(NodeBase, InDoubtParticipantResolvesViaStatusQuery) {
   cluster.RunFor(sim::Seconds(2));
   EXPECT_FALSE(cluster.store(2).HasStage(0));
   EXPECT_EQ(cluster.store(2).Read(0).value().value, "decided");
+}
+
+// Forwards every message to `p`'s node and keeps a copy of each physical
+// write, so a test can later redeliver one as a late network duplicate.
+class PhysWriteTap : public net::NodeInterface {
+ public:
+  PhysWriteTap(Cluster* cluster, ProcessorId p) : cluster_(cluster), p_(p) {
+    cluster_->network().Register(p_, this);
+  }
+  void HandleMessage(const net::Message& m) override {
+    if (m.type == core::msg::kPhysWrite) writes_.push_back(m);
+    cluster_->node(p_).HandleMessage(m);
+  }
+  /// The first physical write carrying `value`.
+  const net::Message* Find(const Value& value) const {
+    for (const net::Message& m : writes_) {
+      if (net::BodyAs<core::msg::PhysWrite>(m).value == value) return &m;
+    }
+    return nullptr;
+  }
+
+ private:
+  Cluster* cluster_;
+  ProcessorId p_;
+  std::vector<net::Message> writes_;
+};
+
+// The value `txn` has staged on object 0 at p2, or "<none>".
+Value Staged(Cluster& cluster, TxnId txn) {
+  auto staged = cluster.store(2).StagedValue(txn, 0);
+  return staged.has_value() ? staged->value : "<none>";
+}
+
+// Stages op A ('3') and then op B ('4') of one transaction on object 0.
+// Returns the transaction.
+TxnId StageTwoWrites(Cluster& cluster) {
+  core::NodeBase& node = cluster.node(0);
+  const TxnId txn = node.NewTxnId();
+  node.Begin(txn);
+  node.LogicalWrite(txn, 0, "3", [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(100));
+  node.LogicalWrite(txn, 0, "4", [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(100));
+  EXPECT_EQ(Staged(cluster, txn), "4");
+  return txn;
+}
+
+TEST(NodeBase, LateDuplicateOfOlderWriteDoesNotReplaceNewerStage) {
+  // Both writes carry the same date, so a copy that commits the older
+  // value could never be repaired by a max-date read: the participant must
+  // refuse to re-stage an older op of the transaction over a newer one.
+  Cluster cluster(Cfg(9));
+  cluster.RunFor(sim::Seconds(1));
+  PhysWriteTap tap(&cluster, 2);
+  const TxnId txn = StageTwoWrites(cluster);
+  const net::Message* dup = tap.Find("3");
+  ASSERT_NE(dup, nullptr);
+
+  cluster.node(2).HandleMessage(*dup);
+  cluster.RunFor(sim::Millis(50));
+  EXPECT_EQ(Staged(cluster, txn), "4");
+  Status commit = Status::Internal("callback not run");
+  cluster.node(0).Commit(txn, [&](Status s) { commit = s; });
+  cluster.RunFor(sim::Millis(500));
+  ASSERT_TRUE(commit.ok()) << commit.ToString();
+  for (ProcessorId p = 0; p < 3; ++p) {
+    EXPECT_EQ(cluster.store(p).Read(0).value().value, "4") << "p" << p;
+  }
+}
+
+TEST(NodeBase, LateDuplicateAfterAmnesiaRebootDoesNotReplaceNewerStage) {
+  // WAL replay rebuilds the stage, so the guard must survive the reboot;
+  // the reliable channel's dedup state does not, and may let one
+  // redelivery through. ROWA runs here because it writes every copy and
+  // checks no vp-id: under VP, R4 would already refuse the pre-reboot
+  // duplicate, whereas this exercises the guard itself.
+  ClusterConfig config = testutil::Cfg(3, 10, Protocol::kRowa,
+                                       /*n_objects=*/2);
+  config.durability = storage::DurabilityMode::kWal;
+  Cluster cluster(config);
+  cluster.RunFor(sim::Seconds(1));
+  PhysWriteTap tap(&cluster, 2);
+  const TxnId txn = StageTwoWrites(cluster);
+  ASSERT_NE(tap.Find("3"), nullptr);
+  const net::Message dup = *tap.Find("3");
+
+  cluster.injector().CrashAmnesiaAt(cluster.scheduler().Now(), 2);
+  cluster.injector().RecoverAt(cluster.scheduler().Now() + sim::Millis(20),
+                               2);
+  cluster.RunFor(sim::Millis(30));
+  ASSERT_EQ(cluster.stable(2).incarnation(), 1u);
+  EXPECT_EQ(Staged(cluster, txn), "4");
+
+  cluster.node(2).HandleMessage(dup);
+  cluster.RunFor(sim::Millis(5));
+  EXPECT_EQ(Staged(cluster, txn), "4");
+  Status commit = Status::Internal("callback not run");
+  cluster.node(0).Commit(txn, [&](Status s) { commit = s; });
+  cluster.RunFor(sim::Seconds(1));
+  ASSERT_TRUE(commit.ok()) << commit.ToString();
+  for (ProcessorId p = 0; p < 3; ++p) {
+    EXPECT_EQ(cluster.store(p).Read(0).value().value, "4") << "p" << p;
+  }
 }
 
 TEST(NodeBase, TxnIdsAreUniquePerNode) {
