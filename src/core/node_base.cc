@@ -263,8 +263,8 @@ void NodeBase::BroadcastOutcome(TxnId txn) {
   if (rec == nullptr || rec->outcome_unacked.empty()) return;
   const bool committed = rec->st == cc::TxnOutcome::kCommitted;
   for (ProcessorId p : rec->outcome_unacked) {
-    SendPhys(p, msg::kTxnOutcome, msg::TxnOutcomeMsg{txn, committed},
-             /*on_timeout=*/nullptr, rec->trace);
+    SendPhys(p, msg::TxnOutcomeMsg{txn, committed}, /*on_timeout=*/nullptr,
+             rec->trace);
   }
   ScheduleOutcomeRetry(txn);
 }
@@ -304,18 +304,30 @@ bool NodeBase::MaybeDefer(const net::Message&) { return false; }
 
 Status NodeBase::ValidateCommit(const TxnRec&) { return Status::Ok(); }
 
-void NodeBase::HandlePhysRead(const net::Message& m) {
-  const auto& req = net::BodyAs<msg::PhysRead>(m);
+void NodeBase::NackRead(ProcessorId to, uint64_t op_id, std::string error,
+                        uint64_t trace) {
+  ctr_phys_nacks_->Increment();
+  SendPhys(to,
+           msg::PhysReadReply{op_id, false, std::move(error), Value(),
+                              kEpochDate},
+           nullptr, trace);
+}
+
+void NodeBase::NackWrite(ProcessorId to, uint64_t op_id, std::string error,
+                         uint64_t trace) {
+  ctr_phys_nacks_->Increment();
+  SendPhys(to, msg::PhysWriteReply{op_id, false, std::move(error)}, nullptr,
+           trace);
+}
+
+void NodeBase::HandlePhysRead(const net::Message& m,
+                              const msg::PhysRead& req) {
   if (MaybeDefer(m)) return;
   const ProcessorId reply_to = m.src;
   const uint64_t trace = m.trace;
   if (!req.recovery && remote_outcomes_.count(req.txn) > 0) {
     // Duplicate/reordered request for an already-decided transaction.
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false, "stale-txn", Value(),
-                            kEpochDate},
-         nullptr, trace);
+    NackRead(reply_to, req.op_id, "stale-txn", trace);
     return;
   }
   if (!req.recovery && EpochGated() && req.epoch != CurrentEpoch()) {
@@ -324,30 +336,19 @@ void NodeBase::HandlePhysRead(const net::Message& m) {
     // (Recovery reads are exempt — they are how a new epoch's copies are
     // brought current — and 2PC outcome traffic never passes through here,
     // so in-flight transactions still resolve across the boundary.)
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false,
-                            req.epoch < CurrentEpoch() ? "stale-epoch"
-                                                       : "future-epoch",
-                            Value(), kEpochDate},
-         nullptr, trace);
+    NackRead(reply_to, req.op_id,
+             req.epoch < CurrentEpoch() ? "stale-epoch" : "future-epoch",
+             trace);
     return;
   }
   Status admit = ValidateAccess(req.txn, req.v, req.obj, req.footprint,
                                 req.recovery, /*is_write=*/false);
   if (!admit.ok()) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false, std::string(admit.message()),
-                            Value(), kEpochDate},
-         nullptr, trace);
+    NackRead(reply_to, req.op_id, std::string(admit.message()), trace);
     return;
   }
   if (!env_.store->HasCopy(req.obj)) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false, "no-copy", Value(), kEpochDate},
-         nullptr, trace);
+    NackRead(reply_to, req.op_id, "no-copy", trace);
     return;
   }
   const TxnId locker = req.recovery ? SyntheticTxnId() : req.txn;
@@ -363,21 +364,13 @@ void NodeBase::HandlePhysRead(const net::Message& m) {
       [this, locker, obj, op_id, txn, recovery, reply_to, trace,
        wait_start](Status s) {
         if (!s.ok()) {
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysReadReply,
-               msg::PhysReadReply{op_id, false, "lock-timeout", Value(),
-                                  kEpochDate},
-               nullptr, trace);
+          NackRead(reply_to, op_id, "lock-timeout", trace);
           return;
         }
         if (!recovery && remote_outcomes_.count(txn) > 0) {
           // The outcome landed while this request waited for the lock.
           env_.locks->ReleaseAll(locker);
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysReadReply,
-               msg::PhysReadReply{op_id, false, "stale-txn", Value(),
-                                  kEpochDate},
-               nullptr, trace);
+          NackRead(reply_to, op_id, "stale-txn", trace);
           return;
         }
         auto version = env_.store->Read(obj);
@@ -408,49 +401,39 @@ void NodeBase::HandlePhysRead(const net::Message& m) {
         // copy-update is exactly what the durable-read probe exists for.
         Fdr(obs::FdrKind::kPhysRead, recovery ? TxnId{} : txn, obj,
             obs::FlightRecorder::HashValue(version.value().value));
-        SendPhys(reply_to, msg::kPhysReadReply,
-             msg::PhysReadReply{op_id, true, "", version.value().value,
-                                version.value().date,
-                                static_cast<uint64_t>(env_.clock->Now() -
-                                                      wait_start)},
-             nullptr, trace);
+        SendPhys(reply_to,
+                 msg::PhysReadReply{op_id, true, "", version.value().value,
+                                    version.value().date,
+                                    static_cast<uint64_t>(
+                                        env_.clock->Now() - wait_start)},
+                 nullptr, trace);
       });
 }
 
-void NodeBase::HandlePhysWrite(const net::Message& m) {
-  const auto& req = net::BodyAs<msg::PhysWrite>(m);
+void NodeBase::HandlePhysWrite(const net::Message& m,
+                               const msg::PhysWrite& req) {
   if (MaybeDefer(m)) return;
   const ProcessorId reply_to = m.src;
   const uint64_t trace = m.trace;
   if (remote_outcomes_.count(req.txn) > 0) {
     // Duplicate/reordered request for an already-decided transaction.
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false, "stale-txn"}, nullptr, trace);
+    NackWrite(reply_to, req.op_id, "stale-txn", trace);
     return;
   }
   if (EpochGated() && req.epoch != CurrentEpoch()) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false,
-                             req.epoch < CurrentEpoch() ? "stale-epoch"
-                                                        : "future-epoch"},
-         nullptr, trace);
+    NackWrite(reply_to, req.op_id,
+              req.epoch < CurrentEpoch() ? "stale-epoch" : "future-epoch",
+              trace);
     return;
   }
   Status admit = ValidateAccess(req.txn, req.v, req.obj, req.footprint,
                                 /*is_recovery=*/false, /*is_write=*/true);
   if (!admit.ok()) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false, std::string(admit.message())},
-         nullptr, trace);
+    NackWrite(reply_to, req.op_id, std::string(admit.message()), trace);
     return;
   }
   if (!env_.store->HasCopy(req.obj)) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false, "no-copy"}, nullptr, trace);
+    NackWrite(reply_to, req.op_id, "no-copy", trace);
     return;
   }
   const TxnId txn = req.txn;
@@ -465,19 +448,13 @@ void NodeBase::HandlePhysWrite(const net::Message& m) {
       [this, txn, obj, op_id, value, date, epoch, reply_to, trace,
        wait_start](Status s) {
         if (!s.ok()) {
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysWriteReply,
-               msg::PhysWriteReply{op_id, false, "lock-timeout"}, nullptr,
-               trace);
+          NackWrite(reply_to, op_id, "lock-timeout", trace);
           return;
         }
         if (remote_outcomes_.count(txn) > 0) {
           // The outcome landed while this request waited for the lock.
           env_.locks->ReleaseAll(txn);
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysWriteReply,
-               msg::PhysWriteReply{op_id, false, "stale-txn"}, nullptr,
-               trace);
+          NackWrite(reply_to, op_id, "stale-txn", trace);
           return;
         }
         // A late duplicate of an older write of this transaction is refused
@@ -485,10 +462,7 @@ void NodeBase::HandlePhysWrite(const net::Message& m) {
         Status st =
             env_.store->StageWrite(txn, obj, value, date, epoch, op_id);
         if (!st.ok()) {
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysWriteReply,
-               msg::PhysWriteReply{op_id, false, std::string(st.message())},
-               nullptr, trace);
+          NackWrite(reply_to, op_id, std::string(st.message()), trace);
           return;
         }
         RemoteTxn& rt = remote_txns_[txn];
@@ -500,22 +474,22 @@ void NodeBase::HandlePhysWrite(const net::Message& m) {
         ctr_phys_writes_served_->Increment();
         Fdr(obs::FdrKind::kPhysWrite, txn, obj,
             obs::FlightRecorder::HashValue(value));
-        SendPhys(reply_to, msg::kPhysWriteReply,
-             msg::PhysWriteReply{op_id, true, "",
-                                 static_cast<uint64_t>(env_.clock->Now() -
-                                                       wait_start)},
-             nullptr, trace);
+        SendPhys(reply_to,
+                 msg::PhysWriteReply{op_id, true, "",
+                                     static_cast<uint64_t>(
+                                         env_.clock->Now() - wait_start)},
+                 nullptr, trace);
       });
 }
 
-void NodeBase::HandleLogQuery(const net::Message& m) {
-  const auto& req = net::BodyAs<msg::LogQuery>(m);
+void NodeBase::HandleLogQuery(const net::Message& m,
+                              const msg::LogQuery& req) {
   if (MaybeDefer(m)) return;
   Status admit = ValidateAccess(TxnId{}, req.v, req.obj, {},
                                 /*is_recovery=*/true, /*is_write=*/false);
   const ProcessorId reply_to = m.src;
   if (!admit.ok() || !env_.store->HasCopy(req.obj)) {
-    SendPhys(reply_to, msg::kLogReply, msg::LogReply{req.op_id, false, req.obj, {}});
+    SendPhys(reply_to, msg::LogReply{req.op_id, false, req.obj, {}});
     return;
   }
   const TxnId locker = SyntheticTxnId();
@@ -526,7 +500,7 @@ void NodeBase::HandleLogQuery(const net::Message& m) {
       locker, obj, cc::LockMode::kShared, lock_timeout_,
       [this, locker, obj, op_id, after, reply_to](Status s) {
         if (!s.ok()) {
-          SendPhys(reply_to, msg::kLogReply, msg::LogReply{op_id, false, obj, {}});
+          SendPhys(reply_to, msg::LogReply{op_id, false, obj, {}});
           return;
         }
         msg::LogReply reply{op_id, true, obj, {}};
@@ -534,7 +508,7 @@ void NodeBase::HandleLogQuery(const net::Message& m) {
           reply.records.emplace_back(r.date, r.value, r.txn);
         }
         env_.locks->ReleaseAll(locker);
-        SendPhys(reply_to, msg::kLogReply, std::move(reply));
+        SendPhys(reply_to, std::move(reply));
       });
 }
 
@@ -566,15 +540,13 @@ void NodeBase::ApplyOutcomeLocally(TxnId txn, bool committed) {
   env_.locks->ReleaseAll(txn);
 }
 
-void NodeBase::HandleTxnOutcome(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::TxnOutcomeMsg>(m);
+void NodeBase::HandleTxnOutcome(const net::Message& m,
+                                const msg::TxnOutcomeMsg& body) {
   ApplyOutcomeLocally(body.txn, body.committed);
-  SendPhys(m.src, msg::kTxnOutcomeAck, msg::TxnOutcomeAck{body.txn, id_},
-           nullptr, m.trace);
+  SendPhys(m.src, msg::TxnOutcomeAck{body.txn, id_}, nullptr, m.trace);
 }
 
-void NodeBase::HandleTxnOutcomeAck(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::TxnOutcomeAck>(m);
+void NodeBase::HandleTxnOutcomeAck(const msg::TxnOutcomeAck& body) {
   TxnRec* rec = FindTxn(body.txn);
   if (rec == nullptr) return;
   const bool had_unacked = !rec->outcome_unacked.empty();
@@ -592,15 +564,13 @@ void NodeBase::HandleTxnOutcomeAck(const net::Message& m) {
   }
 }
 
-void NodeBase::HandleTxnStatusQuery(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::TxnStatusQuery>(m);
-  SendPhys(m.src, msg::kTxnStatusReply,
-       msg::TxnStatusReply{body.txn, decisions_.Query(body.txn)}, nullptr,
-       m.trace);
+void NodeBase::HandleTxnStatusQuery(const net::Message& m,
+                                    const msg::TxnStatusQuery& body) {
+  SendPhys(m.src, msg::TxnStatusReply{body.txn, decisions_.Query(body.txn)},
+           nullptr, m.trace);
 }
 
-void NodeBase::HandleTxnStatusReply(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::TxnStatusReply>(m);
+void NodeBase::HandleTxnStatusReply(const msg::TxnStatusReply& body) {
   switch (body.outcome) {
     case cc::TxnOutcome::kActive:
       if (auto it = remote_txns_.find(body.txn); it != remote_txns_.end()) {
@@ -634,7 +604,7 @@ void NodeBase::InDoubtSweep() {
       }
       continue;
     }
-    SendPhys(rt.coordinator, msg::kTxnStatusQuery, msg::TxnStatusQuery{txn, id_});
+    SendPhys(rt.coordinator, msg::TxnStatusQuery{txn, id_});
   }
   for (const auto& [txn, committed] : local_resolved) {
     ApplyOutcomeLocally(txn, committed);
@@ -658,26 +628,27 @@ void NodeBase::HandleMessage(const net::Message& m) {
   if (rel_ != nullptr &&
       rel_->HandleMessage(
           m, [this](const net::Message& inner) { Dispatch(inner); })) {
-    return;  // Envelope or ack, consumed (and unwrapped) by the channel.
+    return;  // Reliable data or ack, consumed by the channel.
   }
   Dispatch(m);
 }
 
 void NodeBase::Dispatch(const net::Message& m) {
-  if (m.type == msg::kPhysRead) {
-    HandlePhysRead(m);
-  } else if (m.type == msg::kPhysWrite) {
-    HandlePhysWrite(m);
-  } else if (m.type == msg::kLogQuery) {
-    HandleLogQuery(m);
-  } else if (m.type == msg::kTxnOutcome) {
-    HandleTxnOutcome(m);
-  } else if (m.type == msg::kTxnOutcomeAck) {
-    HandleTxnOutcomeAck(m);
-  } else if (m.type == msg::kTxnStatusQuery) {
-    HandleTxnStatusQuery(m);
-  } else if (m.type == msg::kTxnStatusReply) {
-    HandleTxnStatusReply(m);
+  const net::Body& b = m.body;
+  if (const auto* req = std::get_if<msg::PhysRead>(&b)) {
+    HandlePhysRead(m, *req);
+  } else if (const auto* w = std::get_if<msg::PhysWrite>(&b)) {
+    HandlePhysWrite(m, *w);
+  } else if (const auto* q = std::get_if<msg::LogQuery>(&b)) {
+    HandleLogQuery(m, *q);
+  } else if (const auto* o = std::get_if<msg::TxnOutcomeMsg>(&b)) {
+    HandleTxnOutcome(m, *o);
+  } else if (const auto* ack = std::get_if<msg::TxnOutcomeAck>(&b)) {
+    HandleTxnOutcomeAck(*ack);
+  } else if (const auto* sq = std::get_if<msg::TxnStatusQuery>(&b)) {
+    HandleTxnStatusQuery(m, *sq);
+  } else if (const auto* sr = std::get_if<msg::TxnStatusReply>(&b)) {
+    HandleTxnStatusReply(*sr);
   } else {
     const bool handled = HandleProtocolMessage(m);
     VP_CHECK_MSG(handled, "unknown message type");

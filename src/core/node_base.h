@@ -193,13 +193,19 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void BroadcastOutcome(TxnId txn);
 
   // --- participant-side helpers ---
-  void HandlePhysRead(const net::Message& m);
-  void HandlePhysWrite(const net::Message& m);
-  void HandleLogQuery(const net::Message& m);
-  void HandleTxnOutcome(const net::Message& m);
-  void HandleTxnOutcomeAck(const net::Message& m);
-  void HandleTxnStatusQuery(const net::Message& m);
-  void HandleTxnStatusReply(const net::Message& m);
+  void HandlePhysRead(const net::Message& m, const msg::PhysRead& req);
+  void HandlePhysWrite(const net::Message& m, const msg::PhysWrite& req);
+  void HandleLogQuery(const net::Message& m, const msg::LogQuery& req);
+  void HandleTxnOutcome(const net::Message& m, const msg::TxnOutcomeMsg& body);
+  void HandleTxnOutcomeAck(const msg::TxnOutcomeAck& body);
+  void HandleTxnStatusQuery(const net::Message& m,
+                            const msg::TxnStatusQuery& body);
+  void HandleTxnStatusReply(const msg::TxnStatusReply& body);
+  /// Counts a physical-access nack and sends it as a failed reply.
+  void NackRead(ProcessorId to, uint64_t op_id, std::string error,
+                uint64_t trace);
+  void NackWrite(ProcessorId to, uint64_t op_id, std::string error,
+                 uint64_t trace);
   /// Applies a learned outcome to local stages and locks.
   void ApplyOutcomeLocally(TxnId txn, bool committed);
   void InDoubtSweep();
@@ -214,12 +220,10 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   /// the in-doubt sweep to resolve against their coordinators.
   void ReplayWal();
 
-  void Send(ProcessorId dst, const char* type, std::any body,
-            uint64_t trace = 0) {
+  void Send(ProcessorId dst, net::Body body, uint64_t trace = 0) {
     net::Message m;
     m.src = id_;
     m.dst = dst;
-    m.type = type;
     m.body = std::move(body);
     m.trace = trace;
     env_.transport->Send(std::move(m));
@@ -234,17 +238,17 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   /// Returns the channel message id (0 for raw sends, which need no
   /// cancellation); pass it to CancelPhys when the reply becomes
   /// irrelevant before it arrives.
-  uint64_t SendPhys(ProcessorId dst, const char* type, std::any body,
+  uint64_t SendPhys(ProcessorId dst, net::Body body,
                     net::ReliableChannel::TimeoutFn on_timeout = nullptr,
                     uint64_t trace = 0,
                     net::ReliableChannel::RetransmitFn on_retransmit =
                         nullptr) {
     if (rel_ == nullptr || dst == id_) {
-      Send(dst, type, std::move(body), trace);
+      Send(dst, std::move(body), trace);
       return 0;
     }
-    return rel_->Send(dst, type, std::move(body), std::move(on_timeout),
-                      trace, std::move(on_retransmit));
+    return rel_->Send(dst, std::move(body), std::move(on_timeout), trace,
+                      std::move(on_retransmit));
   }
 
   /// Retransmit hook for SendPhys requests issued on behalf of `txn`:
@@ -328,9 +332,12 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   /// closure so a replaced node object goes quiet.
   bool retired_ = false;
 
- private:
-  /// Type-based dispatch of a (possibly channel-unwrapped) message.
+  /// Dispatch on the body's alternative, past the reliable channel (a
+  /// parked message replays through here: it was acked and deduplicated
+  /// when it first arrived).
   void Dispatch(const net::Message& m);
+
+ private:
   void ScheduleInDoubtSweep();
   void ScheduleOutcomeRetry(TxnId txn);
 };

@@ -58,7 +58,7 @@ struct ProtocolStats {
   uint64_t rel_sends = 0;            // Messages entrusted to the channel.
   uint64_t rel_retransmits = 0;      // Transmissions beyond each first one.
   uint64_t rel_timeouts = 0;         // Sends abandoned at their deadline.
-  uint64_t rel_dups_suppressed = 0;  // Duplicate envelopes deduplicated.
+  uint64_t rel_dups_suppressed = 0;  // Duplicate reliable messages dropped.
 
   /// VP protocol only.
   uint64_t vp_creations_initiated = 0;

@@ -1,12 +1,19 @@
 // Wire messages of the virtual-partition protocol. Names follow the paper's
 // figures: "newvp" / "OK" / "commit" (Fig. 5-6), "probe" / "ack" (Fig. 7-8),
 // "read" / "write" and their replies (Fig. 9-12), plus the transaction-
-// outcome subprotocol that realizes atomic commitment of staged writes.
+// outcome subprotocol that realizes atomic commitment of staged writes and
+// the reliable channel's ack. `Body` closes the set: every protocol (VP,
+// quorum consensus, the naive-view strawman) speaks only these messages.
 #ifndef VPART_CORE_VP_MESSAGES_H_
 #define VPART_CORE_VP_MESSAGES_H_
 
+#include <array>
+#include <cstddef>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "common/types.h"
@@ -21,7 +28,6 @@ namespace vp::core::msg {
 struct NewVp {
   VpId new_id;
 };
-inline constexpr const char* kNewVp = "newvp";
 
 /// Acceptance of an invitation. `previous` is the last virtual partition
 /// the acceptor was assigned to (§6: previous_v(q)), collected at no extra
@@ -33,7 +39,6 @@ struct VpOk {
   VpId previous;
   EpochId epoch = 0;
 };
-inline constexpr const char* kVpOk = "vp-ok";
 
 /// Phase-2 commit: the initiator's computed view for partition `v`, plus
 /// the configuration epoch the view serves under. When the commit advances
@@ -47,7 +52,6 @@ struct VpCommit {
   EpochId epoch = 0;
   std::vector<ReconfigOp> reconfig;
 };
-inline constexpr const char* kVpCommit = "vp-commit";
 
 // ---- Probing (Fig. 7, 8) ----
 
@@ -56,13 +60,11 @@ struct Probe {
   VpId v;
   uint64_t seq = 0;
 };
-inline constexpr const char* kProbe = "probe";
 
 struct ProbeAck {
   ProcessorId q = kInvalidProcessor;
   uint64_t seq = 0;
 };
-inline constexpr const char* kProbeAck = "probe-ack";
 
 // ---- Physical access (Fig. 9-12) ----
 
@@ -89,7 +91,6 @@ struct PhysRead {
   /// accepts a cross-vp access only if these are all in its current view.
   std::set<ProcessorId> footprint;
 };
-inline constexpr const char* kPhysRead = "read";
 
 struct PhysReadReply {
   uint64_t op_id = 0;
@@ -104,7 +105,6 @@ struct PhysReadReply {
   /// instead of quorum RTT.
   uint64_t lock_wait_us = 0;
 };
-inline constexpr const char* kPhysReadReply = "read-reply";
 
 struct PhysWrite {
   TxnId txn;
@@ -115,7 +115,6 @@ struct PhysWrite {
   uint64_t op_id = 0;
   std::set<ProcessorId> footprint;
 };
-inline constexpr const char* kPhysWrite = "write";
 
 struct PhysWriteReply {
   uint64_t op_id = 0;
@@ -124,7 +123,6 @@ struct PhysWriteReply {
   /// Lock wait at the serving copy (see PhysReadReply::lock_wait_us).
   uint64_t lock_wait_us = 0;
 };
-inline constexpr const char* kPhysWriteReply = "write-reply";
 
 /// Date-poll recovery (§6 "optimized search", value-fetch variant): ask a
 /// copy for its date only; the full value is fetched from the freshest
@@ -136,7 +134,6 @@ struct DateQuery {
   EpochId epoch = 0;
   uint64_t op_id = 0;
 };
-inline constexpr const char* kDateQuery = "date-query";
 
 struct DateReply {
   uint64_t op_id = 0;
@@ -144,7 +141,6 @@ struct DateReply {
   ObjectId obj = kInvalidObject;
   VpId date;
 };
-inline constexpr const char* kDateReply = "date-reply";
 
 /// §6 optimization 2: fetch the writes a copy missed since `after`.
 struct LogQuery {
@@ -155,7 +151,6 @@ struct LogQuery {
   EpochId epoch = 0;
   uint64_t op_id = 0;
 };
-inline constexpr const char* kLogQuery = "log-query";
 
 struct LogReply {
   uint64_t op_id = 0;
@@ -164,7 +159,6 @@ struct LogReply {
   /// (date, value, txn) triples, ascending by date.
   std::vector<std::tuple<VpId, Value, TxnId>> records;
 };
-inline constexpr const char* kLogReply = "log-reply";
 
 // ---- Transaction outcome propagation ----
 
@@ -173,26 +167,52 @@ struct TxnOutcomeMsg {
   TxnId txn;
   bool committed = false;
 };
-inline constexpr const char* kTxnOutcome = "txn-outcome";
 
 struct TxnOutcomeAck {
   TxnId txn;
   ProcessorId from = kInvalidProcessor;
 };
-inline constexpr const char* kTxnOutcomeAck = "txn-outcome-ack";
 
 /// In-doubt participant asks the coordinator for a transaction's fate.
 struct TxnStatusQuery {
   TxnId txn;
   ProcessorId from = kInvalidProcessor;
 };
-inline constexpr const char* kTxnStatusQuery = "txn-status-q";
 
 struct TxnStatusReply {
   TxnId txn;
   cc::TxnOutcome outcome = cc::TxnOutcome::kAborted;
 };
-inline constexpr const char* kTxnStatusReply = "txn-status-r";
+
+// ---- Reliable channel (net/reliable_channel.h) ----
+
+/// Acknowledges one reliable transmission: echoes the data message's
+/// header `rel_id` and `rel_incarnation`.
+struct RelAck {
+  uint64_t rel_id = 0;
+  uint32_t incarnation = 0;
+};
+
+// ---- The closed wire type ----
+
+/// Every message body the system sends. net::Message carries one; handlers
+/// dispatch on the alternative.
+using Body = std::variant<NewVp, VpOk, VpCommit, Probe, ProbeAck, PhysRead,
+                          PhysReadReply, PhysWrite, PhysWriteReply, DateQuery,
+                          DateReply, LogQuery, LogReply, TxnOutcomeMsg,
+                          TxnOutcomeAck, TxnStatusQuery, TxnStatusReply,
+                          RelAck>;
+
+/// Wire name of each alternative, indexed by Body::index(). Logs, trace
+/// args and per-type counts use these.
+inline constexpr std::array<const char*, std::variant_size_v<Body>> kNames = {
+    "newvp",        "vp-ok",       "vp-commit",       "probe",
+    "probe-ack",    "read",        "read-reply",      "write",
+    "write-reply",  "date-query",  "date-reply",      "log-query",
+    "log-reply",    "txn-outcome", "txn-outcome-ack", "txn-status-q",
+    "txn-status-r", "rel-ack"};
+
+inline const char* NameOf(const Body& body) { return kNames[body.index()]; }
 
 }  // namespace vp::core::msg
 

@@ -177,7 +177,7 @@ void VpNode::StartCreateVp(VpId new_id) {
   const uint32_t n = env_.transport->size();
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == id_) continue;
-    Send(p, msg::kNewVp, msg::NewVp{new_id}, view_trace_);
+    Send(p, msg::NewVp{new_id}, view_trace_);
   }
   const uint64_t gen = create_generation_;
   env_.executor->ScheduleAfter(2 * config_.delta,
@@ -266,7 +266,7 @@ void VpNode::FinishCreateVp(uint64_t generation) {
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == id_) continue;
       if (config_.commit_to_acceptors_only && view.count(p) == 0) continue;
-      Send(p, msg::kVpCommit,
+      Send(p,
            msg::VpCommit{create_id_, view, previous, epoch, reconfig},
            commit_trace);
     }
@@ -283,8 +283,7 @@ void VpNode::FinishCreateVp(uint64_t generation) {
   }
 }
 
-void VpNode::HandleNewVp(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::NewVp>(m);
+void VpNode::HandleNewVp(const msg::NewVp& body) {
   const VpId v = body.new_id;
   // Fig. 6 lines 5-10: accept iff strictly higher than anything seen.
   if (!(max_id_ < v)) return;
@@ -292,22 +291,21 @@ void VpNode::HandleNewVp(const net::Message& m) {
   PersistViewMeta();
   BeginViewChangeSpan("invited");
   Depart();
-  Send(v.p, msg::kVpOk, msg::VpOk{v, id_, cur_id_, epoch_}, view_trace_);
+  Send(v.p, msg::VpOk{v, id_, cur_id_, epoch_}, view_trace_);
   monitor_timer_.Set(3 * config_.delta, [this]() { OnMonitorTimeout(); });
   // max-id moved: parked accesses tagged with lower vp-ids are now dead.
   ReprocessDeferred();
 }
 
-void VpNode::HandleVpOk(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::VpOk>(m);
+void VpNode::HandleVpOk(const msg::VpOk& body) {
   if (!create_open_ || !(body.v == create_id_)) return;
   accepting_.insert(body.r);
   accept_previous_[body.r] = body.previous;
   accept_epochs_[body.r] = body.epoch;
 }
 
-void VpNode::HandleVpCommit(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::VpCommit>(m);
+void VpNode::HandleVpCommit(const net::Message& m,
+                            const msg::VpCommit& body) {
   // Fig. 6 lines 12-20: commit iff this is the partition we accepted last.
   if (!(body.v == max_id_)) return;
   if (assigned_ && cur_id_ == body.v) return;  // Duplicate commit.
@@ -543,7 +541,7 @@ void VpNode::ProbeTick() {
   const uint32_t n = env_.transport->size();
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == id_) continue;
-    Send(p, msg::kProbe, msg::Probe{id_, cur_id_, probe_seq_});
+    Send(p, msg::Probe{id_, cur_id_, probe_seq_});
   }
   env_.executor->ScheduleAfter(
       2 * config_.delta, [this, seq = probe_seq_]() {
@@ -568,7 +566,7 @@ void VpNode::FinishProbeRound() {
     ++probe_attempt_;
     for (ProcessorId p : lview_) {
       if (probe_acks_.count(p) == 0) {
-        Send(p, msg::kProbe, msg::Probe{id_, cur_id_, probe_seq_});
+        Send(p, msg::Probe{id_, cur_id_, probe_seq_});
       }
     }
     env_.executor->ScheduleAfter(
@@ -582,11 +580,10 @@ void VpNode::FinishProbeRound() {
   CreateNewVp();
 }
 
-void VpNode::HandleProbe(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::Probe>(m);
+void VpNode::HandleProbe(const msg::Probe& body) {
   if (!assigned_) return;
   if (body.v == cur_id_) {
-    Send(body.q, msg::kProbeAck, msg::ProbeAck{id_, body.seq});
+    Send(body.q, msg::ProbeAck{id_, body.seq});
   } else if (cur_id_ < body.v) {
     // Communication across partitions demonstrated; merge (Fig. 8 line 7).
     // Fold the demonstrated id into max_id_ first: max_id must be the
@@ -601,8 +598,7 @@ void VpNode::HandleProbe(const net::Message& m) {
   // body.v < cur_id_: stale probe; ignore.
 }
 
-void VpNode::HandleProbeAck(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::ProbeAck>(m);
+void VpNode::HandleProbeAck(const msg::ProbeAck& body) {
   if (!probe_round_open_ || body.seq != probe_seq_) return;
   probe_acks_.insert(body.q);
 }
@@ -737,7 +733,7 @@ void VpNode::RecoverObjectFullRead(ObjectId obj) {
           });
     } else {
       ++stats_.recovery_reads_sent;
-      SendPhys(q, msg::kPhysRead,
+      SendPhys(q,
                msg::PhysRead{SyntheticTxnId(), obj, cur_id_, epoch_,
                              /*recovery=*/true,
                              /*for_update=*/false, op_id, {}},
@@ -773,7 +769,7 @@ void VpNode::RecoverObjectLogCatchup(ObjectId obj) {
 
   for (ProcessorId q : targets) {
     ++stats_.recovery_reads_sent;
-    SendPhys(q, msg::kLogQuery,
+    SendPhys(q,
              msg::LogQuery{obj, after, cur_id_, epoch_, op_id}, nullptr,
              view_trace_);
   }
@@ -806,20 +802,20 @@ void VpNode::RecoverObjectDatePoll(ObjectId obj) {
 
   for (ProcessorId q : targets) {
     ++stats_.recovery_date_polls;
-    SendPhys(q, msg::kDateQuery, msg::DateQuery{obj, cur_id_, epoch_, op_id},
+    SendPhys(q, msg::DateQuery{obj, cur_id_, epoch_, op_id},
              nullptr, view_trace_);
   }
 }
 
-void VpNode::HandleDateQuery(const net::Message& m) {
-  const auto& req = net::BodyAs<msg::DateQuery>(m);
+void VpNode::HandleDateQuery(const net::Message& m,
+                             const msg::DateQuery& req) {
   if (MaybeDefer(m)) return;
   Status admit = ValidateAccess(TxnId{}, req.v, req.obj, {},
                                 /*is_recovery=*/true, /*is_write=*/false);
   const ProcessorId reply_to = m.src;
   const uint64_t trace = m.trace;
   if (!admit.ok() || !env_.store->HasCopy(req.obj)) {
-    SendPhys(reply_to, msg::kDateReply,
+    SendPhys(reply_to,
              msg::DateReply{req.op_id, false, req.obj, kEpochDate}, nullptr,
              trace);
     return;
@@ -834,7 +830,7 @@ void VpNode::HandleDateQuery(const net::Message& m) {
       locker, obj, cc::LockMode::kShared, lock_timeout_,
       [this, locker, obj, op_id, reply_to, trace](Status s) {
         if (!s.ok()) {
-          SendPhys(reply_to, msg::kDateReply,
+          SendPhys(reply_to,
                    msg::DateReply{op_id, false, obj, kEpochDate}, nullptr,
                    trace);
           return;
@@ -842,14 +838,14 @@ void VpNode::HandleDateQuery(const net::Message& m) {
         auto v = env_.store->Read(obj);
         env_.locks->ReleaseAll(locker);
         VP_CHECK(v.ok());
-        SendPhys(reply_to, msg::kDateReply,
+        SendPhys(reply_to,
                  msg::DateReply{op_id, true, obj, v.value().date}, nullptr,
                  trace);
       });
 }
 
-void VpNode::HandleDateReply(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::DateReply>(m);
+void VpNode::HandleDateReply(const net::Message& m,
+                             const msg::DateReply& body) {
   auto it = pending_recoveries_.find(body.op_id);
   if (it == pending_recoveries_.end()) return;
   PendingRecovery& rec = it->second;
@@ -889,7 +885,7 @@ void VpNode::HandleDateReply(const net::Message& m) {
       [this, op_id = body.op_id]() { RecoveryFailed(op_id); });
   ++stats_.recovery_value_fetches;
   ++stats_.recovery_reads_sent;
-  SendPhys(rec.best_holder, msg::kPhysRead,
+  SendPhys(rec.best_holder,
            msg::PhysRead{SyntheticTxnId(), rec.obj, cur_id_, epoch_,
                          /*recovery=*/true,
                          /*for_update=*/false, body.op_id, {}},
@@ -937,8 +933,8 @@ void VpNode::HandleRecoveryReadReply(uint64_t op_id, bool ok,
   if (rec.awaiting.empty()) FinishRecovery(op_id);
 }
 
-void VpNode::HandleLogReply(const net::Message& m) {
-  const auto& body = net::BodyAs<msg::LogReply>(m);
+void VpNode::HandleLogReply(const net::Message& m,
+                            const msg::LogReply& body) {
   auto it = pending_recoveries_.find(body.op_id);
   if (it == pending_recoveries_.end()) return;
   PendingRecovery& rec = it->second;
@@ -1148,7 +1144,7 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
   ++stats_.phys_reads_sent;
   ctr_phys_reads_issued_->Increment();
   rec->path.OpIssued(env_.clock->Now());
-  SendPhys(pr.target, msg::kPhysRead,
+  SendPhys(pr.target,
            msg::PhysRead{txn, obj, cur_id_, epoch_, /*recovery=*/false,
                          /*for_update=*/false, op_id, rec->participants},
            nullptr, pr.trace, RetransmitToPath(txn));
@@ -1207,7 +1203,7 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   rec->path.OpIssued(env_.clock->Now());
   for (ProcessorId q : targets) {
     ++stats_.phys_writes_sent;
-    SendPhys(q, msg::kPhysWrite,
+    SendPhys(q,
              msg::PhysWrite{txn, obj, value, cur_id_, epoch_, op_id,
                             footprint},
              nullptr, rec->trace, RetransmitToPath(txn));
@@ -1246,26 +1242,22 @@ bool VpNode::MaybeDefer(const net::Message& m) {
   ObjectId obj = kInvalidObject;
   bool transactional = false;
   EpochId msg_epoch = epoch_;
-  if (m.type == msg::kPhysRead) {
-    const auto& r = net::BodyAs<msg::PhysRead>(m);
-    v = r.v;
-    obj = r.obj;
-    transactional = !r.recovery;
-    if (transactional) msg_epoch = r.epoch;
-  } else if (m.type == msg::kPhysWrite) {
-    const auto& w = net::BodyAs<msg::PhysWrite>(m);
-    v = w.v;
-    obj = w.obj;
+  if (const auto* r = std::get_if<msg::PhysRead>(&m.body)) {
+    v = r->v;
+    obj = r->obj;
+    transactional = !r->recovery;
+    if (transactional) msg_epoch = r->epoch;
+  } else if (const auto* w = std::get_if<msg::PhysWrite>(&m.body)) {
+    v = w->v;
+    obj = w->obj;
     transactional = true;
-    msg_epoch = w.epoch;
-  } else if (m.type == msg::kLogQuery) {
-    const auto& q = net::BodyAs<msg::LogQuery>(m);
-    v = q.v;
-    obj = q.obj;
-  } else if (m.type == msg::kDateQuery) {
-    const auto& q = net::BodyAs<msg::DateQuery>(m);
-    v = q.v;
-    obj = q.obj;
+    msg_epoch = w->epoch;
+  } else if (const auto* lq = std::get_if<msg::LogQuery>(&m.body)) {
+    v = lq->v;
+    obj = lq->obj;
+  } else if (const auto* dq = std::get_if<msg::DateQuery>(&m.body)) {
+    v = dq->v;
+    obj = dq->obj;
   } else {
     return false;
   }
@@ -1303,9 +1295,9 @@ void VpNode::ReprocessDeferred() {
     // Re-run the normal pipeline; MaybeDefer may park the message again if
     // its precondition still holds (e.g. a different object still locked).
     const bool defer_again = MaybeDefer(m);
-    if (defer_again) continue;
+    if (defer_again || Crashed()) continue;
     reprocessing_ = true;
-    NodeBase::HandleMessage(m);
+    Dispatch(m);
     reprocessing_ = false;
   }
 }
@@ -1330,18 +1322,19 @@ Status VpNode::ValidateCommit(const TxnRec& rec) {
 // ---------------------------------------------------------------------------
 
 bool VpNode::HandleProtocolMessage(const net::Message& m) {
-  if (m.type == msg::kNewVp) {
-    HandleNewVp(m);
-  } else if (m.type == msg::kVpOk) {
-    HandleVpOk(m);
-  } else if (m.type == msg::kVpCommit) {
-    HandleVpCommit(m);
-  } else if (m.type == msg::kProbe) {
-    HandleProbe(m);
-  } else if (m.type == msg::kProbeAck) {
-    HandleProbeAck(m);
-  } else if (m.type == msg::kPhysReadReply) {
-    const auto& body = net::BodyAs<msg::PhysReadReply>(m);
+  const net::Body& b = m.body;
+  if (const auto* nv = std::get_if<msg::NewVp>(&b)) {
+    HandleNewVp(*nv);
+  } else if (const auto* ok = std::get_if<msg::VpOk>(&b)) {
+    HandleVpOk(*ok);
+  } else if (const auto* commit = std::get_if<msg::VpCommit>(&b)) {
+    HandleVpCommit(m, *commit);
+  } else if (const auto* probe = std::get_if<msg::Probe>(&b)) {
+    HandleProbe(*probe);
+  } else if (const auto* pa = std::get_if<msg::ProbeAck>(&b)) {
+    HandleProbeAck(*pa);
+  } else if (const auto* rr = std::get_if<msg::PhysReadReply>(&b)) {
+    const msg::PhysReadReply& body = *rr;
     // A read reply resolves either a pending logical read or a pending
     // recovery read.
     auto it = pending_reads_.find(body.op_id);
@@ -1388,7 +1381,7 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
               pr2.cb(Status::Timeout("no response from copy holder"));
             });
         ++stats_.phys_reads_sent;
-        SendPhys(pr.target, msg::kPhysRead,
+        SendPhys(pr.target,
                  msg::PhysRead{pr.txn, pr.obj, cur_id_, epoch_,
                                /*recovery=*/false,
                                /*for_update=*/false, op_id,
@@ -1406,8 +1399,8 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
     }
     HandleRecoveryReadReply(body.op_id, body.ok, body.value, body.date,
                             m.src, body.error);
-  } else if (m.type == msg::kPhysWriteReply) {
-    const auto& body = net::BodyAs<msg::PhysWriteReply>(m);
+  } else if (const auto* wr = std::get_if<msg::PhysWriteReply>(&b)) {
+    const msg::PhysWriteReply& body = *wr;
     auto it = pending_writes_.find(body.op_id);
     if (it == pending_writes_.end()) return true;
     PendingWrite& pw = it->second;
@@ -1452,12 +1445,12 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
                         {{"obj", std::to_string(done.obj)}});
       done.cb(Status::Ok());
     }
-  } else if (m.type == msg::kLogReply) {
-    HandleLogReply(m);
-  } else if (m.type == msg::kDateQuery) {
-    HandleDateQuery(m);
-  } else if (m.type == msg::kDateReply) {
-    HandleDateReply(m);
+  } else if (const auto* lr = std::get_if<msg::LogReply>(&b)) {
+    HandleLogReply(m, *lr);
+  } else if (const auto* dq = std::get_if<msg::DateQuery>(&b)) {
+    HandleDateQuery(m, *dq);
+  } else if (const auto* dr = std::get_if<msg::DateReply>(&b)) {
+    HandleDateReply(m, *dr);
   } else {
     return false;
   }

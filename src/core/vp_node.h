@@ -100,9 +100,9 @@ class VpNode : public NodeBase {
   void Depart();
   void StartCreateVp(VpId new_id);
   void FinishCreateVp(uint64_t generation);
-  void HandleNewVp(const net::Message& m);
-  void HandleVpOk(const net::Message& m);
-  void HandleVpCommit(const net::Message& m);
+  void HandleNewVp(const msg::NewVp& body);
+  void HandleVpOk(const msg::VpOk& body);
+  void HandleVpCommit(const net::Message& m, const msg::VpCommit& body);
   void OnMonitorTimeout();
   /// `commit_trace` is the causal trace the VpCommit message carried (the
   /// initiator's reconfig trace when the formation carries a reconfig
@@ -137,16 +137,16 @@ class VpNode : public NodeBase {
   // --- Probing ---
   void ProbeTick();
   void FinishProbeRound();
-  void HandleProbe(const net::Message& m);
-  void HandleProbeAck(const net::Message& m);
+  void HandleProbe(const msg::Probe& body);
+  void HandleProbeAck(const msg::ProbeAck& body);
 
   // --- R5: Update-Copies-in-View ---
   void StartUpdateCopies(const std::set<ObjectId>& was_dirty);
   void RecoverObjectFullRead(ObjectId obj);
   void RecoverObjectLogCatchup(ObjectId obj);
   void RecoverObjectDatePoll(ObjectId obj);
-  void HandleDateQuery(const net::Message& m);
-  void HandleDateReply(const net::Message& m);
+  void HandleDateQuery(const net::Message& m, const msg::DateQuery& req);
+  void HandleDateReply(const net::Message& m, const msg::DateReply& body);
   /// Dispatches to the per-mode recovery start for `obj`.
   void StartObjectRecovery(ObjectId obj);
   /// In-view processors a full-read recovery of `obj` polls. With an epoch
@@ -158,7 +158,7 @@ class VpNode : public NodeBase {
   void HandleRecoveryReadReply(uint64_t op_id, bool ok, const Value& value,
                                VpId date, ProcessorId from,
                                const std::string& error);
-  void HandleLogReply(const net::Message& m);
+  void HandleLogReply(const net::Message& m, const msg::LogReply& body);
   void FinishRecovery(uint64_t op_id);
   void RecoveryFailed(uint64_t op_id);
   /// Removes `op_id`'s entry from the by-object index — but only when the

@@ -29,16 +29,6 @@ void Network::Register(ProcessorId p, NodeInterface* node) {
   nodes_[p] = node;
 }
 
-void Network::Send(ProcessorId src, ProcessorId dst, std::string type,
-                   std::any body) {
-  Message m;
-  m.src = src;
-  m.dst = dst;
-  m.type = std::move(type);
-  m.body = std::move(body);
-  Send(std::move(m));
-}
-
 sim::Duration Network::Delta() const {
   double max_cost = 1.0;
   for (ProcessorId a = 0; a < graph_->size(); ++a)
@@ -72,7 +62,7 @@ void Network::Send(Message msg) {
     ++stats_.sent_remote;
     ctr_remote_->Increment();
   }
-  ++stats_.sent_by_type[msg.type];
+  ++stats_.sent_by_type[msg.body.index()];
 
   // Route check at send time: the can-communicate relation of the moment.
   if (!graph_->CanCommunicate(msg.src, msg.dst)) {
@@ -118,7 +108,6 @@ void Network::ScheduleDelivery(Message msg, sim::Duration delay) {
     VP_CHECK_MSG(node != nullptr, "message to unregistered processor");
     ++stats_.delivered;
     ctr_delivered_->Increment();
-    ++stats_.delivered_by_type[m.type];
     node->HandleMessage(m);
   });
 }

@@ -16,10 +16,9 @@
 #ifndef VPART_NET_NETWORK_H_
 #define VPART_NET_NETWORK_H_
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,7 +68,7 @@ struct NetworkConfig {
   sim::Duration reorder_max_extra = sim::Millis(40);
 };
 
-/// Per-message-type traffic counters.
+/// Traffic counters.
 struct NetworkStats {
   uint64_t sent = 0;
   /// Sends with src != dst (actual network traffic; cost metrics use this).
@@ -81,8 +80,9 @@ struct NetworkStats {
   uint64_t slow = 0;                // Performance-failure deliveries.
   uint64_t duplicated = 0;          // Extra copies scheduled by dup_prob.
   uint64_t reordered = 0;           // Messages given an adversarial hold-back.
-  std::map<std::string, uint64_t> sent_by_type;
-  std::map<std::string, uint64_t> delivered_by_type;
+  /// Sends per message type, indexed by Body::index() (names in
+  /// core::msg::kNames).
+  std::array<uint64_t, std::variant_size_v<Body>> sent_by_type{};
 
   void Reset() { *this = NetworkStats(); }
 };
@@ -100,10 +100,6 @@ class Network {
   /// Sends a message. The send itself never fails; faults surface as
   /// non-delivery. Messages from/to crashed processors are dropped.
   void Send(Message msg);
-
-  /// Convenience: builds and sends a message.
-  void Send(ProcessorId src, ProcessorId dst, std::string type,
-            std::any body);
 
   const NetworkStats& stats() const { return stats_; }
   NetworkStats* mutable_stats() { return &stats_; }

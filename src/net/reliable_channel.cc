@@ -57,37 +57,29 @@ runtime::Duration ReliableChannel::Jittered(runtime::Duration d) {
   return d + rng_.UniformInt(0, span);
 }
 
-uint64_t ReliableChannel::Send(ProcessorId dst, std::string type,
-                               std::any body, TimeoutFn on_timeout,
-                               uint64_t trace, RetransmitFn on_retransmit) {
+uint64_t ReliableChannel::Send(ProcessorId dst, Body body,
+                               TimeoutFn on_timeout, uint64_t trace,
+                               RetransmitFn on_retransmit) {
   const uint64_t rel_id = next_rel_id_++;
   Pending p;
-  p.dst = dst;
-  p.type = std::move(type);
-  p.body = std::move(body);
+  p.msg.src = self_;
+  p.msg.dst = dst;
+  p.msg.body = std::move(body);
+  p.msg.trace = trace;
+  p.msg.rel_id = rel_id;
+  p.msg.rel_incarnation = incarnation_;
   p.deadline = clock_->Now() + config_.delivery_deadline;
   p.next_delay = config_.retransmit_initial;
   p.on_timeout = std::move(on_timeout);
   p.on_retransmit = std::move(on_retransmit);
-  p.trace = trace;
   p.last_tx = clock_->Now();
   auto [it, inserted] = pending_.emplace(rel_id, std::move(p));
   VP_CHECK(inserted);
   ++stats_.sends;
   ctr_sends_->Increment();
-  Transmit(rel_id, it->second);
+  transport_->Send(it->second.msg);
   ArmTimer(rel_id);
   return rel_id;
-}
-
-void ReliableChannel::Transmit(uint64_t rel_id, const Pending& p) {
-  Message m;
-  m.src = self_;
-  m.dst = p.dst;
-  m.type = kRelPrefix + p.type;
-  m.body = RelEnvelope{rel_id, incarnation_, p.body};
-  m.trace = p.trace;
-  transport_->Send(std::move(m));
 }
 
 void ReliableChannel::ArmTimer(uint64_t rel_id) {
@@ -117,20 +109,21 @@ void ReliableChannel::OnTimer(uint64_t rel_id) {
   ++stats_.retransmits;
   ctr_retransmits_->Increment();
   const runtime::TimePoint now = clock_->Now();
-  tracer_->Instant(p.trace, self_, static_cast<uint64_t>(now),
-                   "rel.retransmit", "rel", {{"type", p.type}});
+  tracer_->Instant(p.msg.trace, self_, static_cast<uint64_t>(now),
+                   "rel.retransmit", "rel",
+                   {{"type", core::msg::NameOf(p.msg.body)}});
   {
     obs::FdrEvent e;
     e.ts_us = static_cast<int64_t>(now);
     e.node = self_;
     e.kind = obs::FdrKind::kRetransmit;
     e.a = rel_id;
-    e.b = static_cast<uint64_t>(p.dst);
+    e.b = static_cast<uint64_t>(p.msg.dst);
     fdr_->Record(e);
   }
   if (p.on_retransmit) p.on_retransmit(now - p.last_tx);
   p.last_tx = now;
-  Transmit(rel_id, p);
+  transport_->Send(p.msg);
   p.next_delay = std::min<runtime::Duration>(
       static_cast<runtime::Duration>(static_cast<double>(p.next_delay) *
                                  config_.backoff_factor),
@@ -140,16 +133,15 @@ void ReliableChannel::OnTimer(uint64_t rel_id) {
 
 bool ReliableChannel::HandleMessage(const Message& m,
                                     const DeliverFn& deliver) {
-  if (m.type == kRelAck) {
-    const auto& ack = BodyAs<RelAckBody>(m);
-    if (ack.incarnation != incarnation_) {
+  if (const auto* ack = std::get_if<core::msg::RelAck>(&m.body)) {
+    if (ack->incarnation != incarnation_) {
       // Ack addressed to a previous life of this processor; the pending
       // send it settles died with that incarnation's volatile state.
       ++stats_.stale_acks;
       ctr_stale_acks_->Increment();
       return true;
     }
-    auto it = pending_.find(ack.rel_id);
+    auto it = pending_.find(ack->rel_id);
     if (it == pending_.end()) {
       // Duplicate ack, or an ack racing a just-expired deadline.
       ++stats_.stale_acks;
@@ -162,34 +154,25 @@ bool ReliableChannel::HandleMessage(const Message& m,
     pending_.erase(it);
     return true;
   }
-  if (m.type.rfind(kRelPrefix, 0) != 0) return false;
+  if (m.rel_id == 0) return false;
 
-  const auto& env = BodyAs<RelEnvelope>(m);
   // Ack every copy (the first transmission's ack may have been lost; the
   // retransmission that follows must still be acknowledged or the sender
   // retries forever-until-deadline).
   Message ack;
   ack.src = m.dst;
   ack.dst = m.src;
-  ack.type = kRelAck;
-  ack.body = RelAckBody{env.rel_id, env.incarnation};
+  ack.body = core::msg::RelAck{m.rel_id, m.rel_incarnation};
   ack.trace = m.trace;
   transport_->Send(std::move(ack));
-  if (!seen_[m.src].insert(env.rel_id).second) {
+  if (!seen_[m.src].insert(m.rel_id).second) {
     ++stats_.dup_suppressed;
     ctr_dups_->Increment();
     return true;
   }
   ++stats_.delivered;
   ctr_delivered_->Increment();
-  Message inner;
-  inner.src = m.src;
-  inner.dst = m.dst;
-  inner.type = m.type.substr(std::string(kRelPrefix).size());
-  inner.body = env.body;
-  inner.sent_at = m.sent_at;
-  inner.trace = m.trace;
-  deliver(inner);
+  deliver(m);
   return true;
 }
 

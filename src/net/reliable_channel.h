@@ -29,11 +29,9 @@
 #ifndef VPART_NET_RELIABLE_CHANNEL_H_
 #define VPART_NET_RELIABLE_CHANNEL_H_
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -52,7 +50,7 @@ namespace vp::net {
 /// harness wires one config into each node's environment).
 struct ReliableConfig {
   /// Master switch. Off = sends go straight to the network, exactly the
-  /// pre-reliability behavior (no extra rng draws, no envelope messages).
+  /// pre-reliability behavior (no extra rng draws, no acks).
   bool enabled = false;
 
   /// Delay before the first retransmission of an unacked message. Should
@@ -88,30 +86,9 @@ struct ReliableStats {
   uint64_t retransmits = 0;      // Transmissions beyond each first one.
   uint64_t acks_received = 0;    // Acks matching a pending send.
   uint64_t stale_acks = 0;       // Acks for unknown ids / other incarnations.
-  uint64_t delivered = 0;        // Envelopes passed up to the node.
-  uint64_t dup_suppressed = 0;   // Envelopes dropped by receiver dedup.
+  uint64_t delivered = 0;        // Data messages passed up to the node.
+  uint64_t dup_suppressed = 0;   // Data messages dropped by receiver dedup.
   uint64_t timed_out = 0;        // Sends abandoned at the delivery deadline.
-};
-
-/// Envelope message types. A reliable send of inner type T travels as type
-/// "rel:T" so raw sends of T (reliability disabled, or unrouted message
-/// kinds) keep their per-type network statistics unchanged.
-inline constexpr const char* kRelPrefix = "rel:";
-inline constexpr const char* kRelAck = "rel-ack";
-
-/// Body of a "rel:*" envelope.
-struct RelEnvelope {
-  uint64_t rel_id = 0;
-  /// Sender incarnation; echoed in the ack so a rebooted sender can tell
-  /// its own acks from its predecessor's.
-  uint32_t incarnation = 0;
-  std::any body;
-};
-
-/// Body of a kRelAck message.
-struct RelAckBody {
-  uint64_t rel_id = 0;
-  uint32_t incarnation = 0;
 };
 
 /// One node's endpoint of the reliable-delivery layer. Owns the pending
@@ -126,7 +103,7 @@ class ReliableChannel {
   /// caller. Critical-path attribution charges this window to
   /// txn.path.retransmit_stall instead of quorum RTT.
   using RetransmitFn = std::function<void(runtime::Duration stall)>;
-  /// Receives the reconstructed inner message of a fresh envelope.
+  /// Receives the first copy of each reliable data message.
   using DeliverFn = std::function<void(const Message&)>;
 
   /// `metrics`/`tracer`/`fdr` may be null (process-global fallbacks are
@@ -140,21 +117,21 @@ class ReliableChannel {
                   obs::Tracer* tracer = nullptr,
                   obs::FlightRecorder* fdr = nullptr);
 
-  /// Sends `type`/`body` to `dst` with at-most-once delivery and
-  /// retransmission until acked or `delivery_deadline` passes (then
-  /// `on_timeout`, if given, fires once). Returns the message id. `trace`
-  /// is the causal trace id stamped on every transmission of this message
-  /// — retransmissions included — and restored on the delivered inner
-  /// message at the receiver. `on_retransmit`, if given, fires on every
-  /// retransmission with the stall since the previous copy went out.
-  uint64_t Send(ProcessorId dst, std::string type, std::any body,
+  /// Sends `body` to `dst` with at-most-once delivery and retransmission
+  /// until acked or `delivery_deadline` passes (then `on_timeout`, if
+  /// given, fires once). Returns the message id, which rides in the
+  /// header's `rel_id`. `trace` is the causal trace id stamped on every
+  /// transmission of this message, retransmissions included.
+  /// `on_retransmit`, if given, fires on every retransmission with the
+  /// stall since the previous copy went out.
+  uint64_t Send(ProcessorId dst, Body body,
                 TimeoutFn on_timeout = nullptr, uint64_t trace = 0,
                 RetransmitFn on_retransmit = nullptr);
 
-  /// Consumes channel traffic. For a "rel:*" envelope: acks it, drops
-  /// duplicates, and hands first deliveries to `deliver` with the inner
-  /// type restored. For a kRelAck: settles the matching pending send.
-  /// Returns false for any other message type (caller dispatches it).
+  /// Consumes channel traffic. For a reliable data message (`rel_id` !=
+  /// 0): acks it, drops duplicates, and hands the first copy to `deliver`.
+  /// For a RelAck: settles the matching pending send. Returns false for a
+  /// raw message (caller dispatches it).
   bool HandleMessage(const Message& m, const DeliverFn& deliver);
 
   /// Abandons one pending send: stops its retransmissions and forgets its
@@ -184,19 +161,17 @@ class ReliableChannel {
 
  private:
   struct Pending {
-    ProcessorId dst = kInvalidProcessor;
-    std::string type;
-    std::any body;
+    /// The data message, header envelope and trace id included; every
+    /// (re)transmission sends a copy of it.
+    Message msg;
     runtime::TimePoint deadline = 0;
     runtime::Duration next_delay = 0;
     runtime::TaskId timer = runtime::kInvalidTask;
     TimeoutFn on_timeout;
     RetransmitFn on_retransmit;
-    uint64_t trace = 0;  // rides on every (re)transmission
     runtime::TimePoint last_tx = 0;  // when the latest copy went out
   };
 
-  void Transmit(uint64_t rel_id, const Pending& p);
   void ArmTimer(uint64_t rel_id);
   void OnTimer(uint64_t rel_id);
   runtime::Duration Jittered(runtime::Duration d);

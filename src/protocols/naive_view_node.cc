@@ -77,7 +77,7 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
   rec->participants.insert(target);
   ++stats_.phys_reads_sent;
   rec->path.OpIssued(env_.clock->Now());
-  SendPhys(target, core::msg::kPhysRead,
+  SendPhys(target,
            PhysRead{txn, obj, kEpochDate, /*epoch=*/0, /*recovery=*/false,
                     /*for_update=*/false, op_id, {}},
            [this, op_id, target]() {
@@ -134,7 +134,7 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   for (ProcessorId q : targets) {
     rec->participants.insert(q);
     ++stats_.phys_writes_sent;
-    SendPhys(q, core::msg::kPhysWrite,
+    SendPhys(q,
              PhysWrite{txn, obj, value, date, /*epoch=*/0, op_id, {}},
              [this, op_id, q]() {
                OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
@@ -147,84 +147,85 @@ void NaiveViewNode::OnDeliveryTimeout(uint64_t op_id, ProcessorId q,
                                       bool write_phase) {
   if (retired_) return;
   // Synthesize a nack from `q` so the normal reply path fails the op.
-  net::Message m;
-  m.src = q;
-  m.dst = id_;
-  m.sent_at = env_.clock->Now();
   if (write_phase) {
-    m.type = core::msg::kPhysWriteReply;
-    m.body = PhysWriteReply{op_id, false, "delivery-timeout"};
+    HandleWriteReply(q, PhysWriteReply{op_id, false, "delivery-timeout"});
   } else {
-    m.type = core::msg::kPhysReadReply;
-    m.body = PhysReadReply{op_id, false, "delivery-timeout", Value(),
-                           kEpochDate};
+    HandleReadReply(q, PhysReadReply{op_id, false, "delivery-timeout", Value(),
+                                     kEpochDate});
   }
-  HandleProtocolMessage(m);
 }
 
 bool NaiveViewNode::HandleProtocolMessage(const net::Message& m) {
-  if (m.type == core::msg::kPhysReadReply) {
-    const auto& body = net::BodyAs<PhysReadReply>(m);
-    auto it = pending_reads_.find(body.op_id);
-    if (it == pending_reads_.end()) return true;
-    PendingRead done = std::move(it->second);
-    pending_reads_.erase(it);
-    env_.executor->Cancel(done.timeout_event);
-    if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-      r->path.OpCompleted(env_.clock->Now(), body.lock_wait_us);
-    }
-    if (!body.ok) {
-      ++stats_.reads_failed;
-      InternalAbort(done.txn);
-      done.cb(body.error == "delivery-timeout"
-                  ? Status::Timeout("physical read delivery deadline passed")
-                  : Status::Aborted("physical read failed: " + body.error));
-      return true;
-    }
-    ++stats_.reads_ok;
-    env_.recorder->TxnRead(done.txn, done.obj, body.value, body.date,
-                           env_.clock->Now());
-    done.cb(core::ReadResult{body.value, body.date, m.src});
+  if (const auto* body = std::get_if<PhysReadReply>(&m.body)) {
+    HandleReadReply(m.src, *body);
     return true;
   }
-  if (m.type == core::msg::kPhysWriteReply) {
-    const auto& body = net::BodyAs<PhysWriteReply>(m);
-    auto it = pending_writes_.find(body.op_id);
-    if (it == pending_writes_.end()) return true;
-    PendingWrite& pw = it->second;
-    if (pw.max_lock_wait_us < body.lock_wait_us) {
-      pw.max_lock_wait_us = body.lock_wait_us;
-    }
-    if (!body.ok) {
-      PendingWrite done = std::move(it->second);
-      pending_writes_.erase(it);
-      env_.executor->Cancel(done.timeout_event);
-      ++stats_.writes_failed;
-      if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-        r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      }
-      InternalAbort(done.txn);
-      done.cb(body.error == "delivery-timeout"
-                  ? Status::Timeout("physical write delivery deadline passed")
-                  : Status::Aborted("physical write failed: " + body.error));
-      return true;
-    }
-    pw.awaiting.erase(m.src);
-    if (pw.awaiting.empty()) {
-      PendingWrite done = std::move(it->second);
-      pending_writes_.erase(it);
-      env_.executor->Cancel(done.timeout_event);
-      ++stats_.writes_ok;
-      if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-        r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      }
-      env_.recorder->TxnWrite(done.txn, done.obj, done.value,
-                              env_.clock->Now());
-      done.cb(Status::Ok());
-    }
+  if (const auto* body = std::get_if<PhysWriteReply>(&m.body)) {
+    HandleWriteReply(m.src, *body);
     return true;
   }
   return false;
+}
+
+void NaiveViewNode::HandleReadReply(ProcessorId src,
+                                    const PhysReadReply& body) {
+  auto it = pending_reads_.find(body.op_id);
+  if (it == pending_reads_.end()) return;
+  PendingRead done = std::move(it->second);
+  pending_reads_.erase(it);
+  env_.executor->Cancel(done.timeout_event);
+  if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
+    r->path.OpCompleted(env_.clock->Now(), body.lock_wait_us);
+  }
+  if (!body.ok) {
+    ++stats_.reads_failed;
+    InternalAbort(done.txn);
+    done.cb(body.error == "delivery-timeout"
+                ? Status::Timeout("physical read delivery deadline passed")
+                : Status::Aborted("physical read failed: " + body.error));
+    return;
+  }
+  ++stats_.reads_ok;
+  env_.recorder->TxnRead(done.txn, done.obj, body.value, body.date,
+                         env_.clock->Now());
+  done.cb(core::ReadResult{body.value, body.date, src});
+}
+
+void NaiveViewNode::HandleWriteReply(ProcessorId src,
+                                     const PhysWriteReply& body) {
+  auto it = pending_writes_.find(body.op_id);
+  if (it == pending_writes_.end()) return;
+  PendingWrite& pw = it->second;
+  if (pw.max_lock_wait_us < body.lock_wait_us) {
+    pw.max_lock_wait_us = body.lock_wait_us;
+  }
+  if (!body.ok) {
+    PendingWrite done = std::move(it->second);
+    pending_writes_.erase(it);
+    env_.executor->Cancel(done.timeout_event);
+    ++stats_.writes_failed;
+    if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
+      r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
+    }
+    InternalAbort(done.txn);
+    done.cb(body.error == "delivery-timeout"
+                ? Status::Timeout("physical write delivery deadline passed")
+                : Status::Aborted("physical write failed: " + body.error));
+    return;
+  }
+  pw.awaiting.erase(src);
+  if (pw.awaiting.empty()) {
+    PendingWrite done = std::move(it->second);
+    pending_writes_.erase(it);
+    env_.executor->Cancel(done.timeout_event);
+    ++stats_.writes_ok;
+    if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
+      r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
+    }
+    env_.recorder->TxnWrite(done.txn, done.obj, done.value,
+                            env_.clock->Now());
+    done.cb(Status::Ok());
+  }
 }
 
 }  // namespace vp::protocols

@@ -57,6 +57,10 @@ class NaiveViewNode : public core::NodeBase {
   /// Reliable-channel delivery-deadline hook; synthesizes a failed reply
   /// from `q` so the op fails through the normal reply path.
   void OnDeliveryTimeout(uint64_t op_id, ProcessorId q, bool write_phase);
+  /// Reply paths, shared by delivered replies and synthesized nacks.
+  void HandleReadReply(ProcessorId src, const core::msg::PhysReadReply& body);
+  void HandleWriteReply(ProcessorId src,
+                        const core::msg::PhysWriteReply& body);
 
   struct PendingRead {
     TxnId txn;

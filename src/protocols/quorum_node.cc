@@ -109,7 +109,7 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
     rec->participants.insert(q);
     ++stats_.phys_reads_sent;
     live.rel_ids[q] =
-        SendPhys(q, core::msg::kPhysRead,
+        SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
                           /*recovery=*/false,
                           /*for_update=*/false, op_id, {}},
@@ -161,7 +161,7 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
     rec->participants.insert(q);
     ++stats_.phys_reads_sent;
     live.rel_ids[q] =
-        SendPhys(q, core::msg::kPhysRead,
+        SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
                           /*recovery=*/false,
                           /*for_update=*/true, op_id, {}},
@@ -254,7 +254,7 @@ void QuorumNode::StartWritePhase2(uint64_t op_id) {
   for (ProcessorId q : targets) {
     ++stats_.phys_writes_sent;
     const uint64_t rel_id =
-        SendPhys(q, core::msg::kPhysWrite,
+        SendPhys(q,
                  PhysWrite{txn, obj, value, new_date, /*epoch=*/0, op_id, {}},
                  [this, op_id, q]() {
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
@@ -274,142 +274,142 @@ void QuorumNode::OnDeliveryTimeout(uint64_t op_id, ProcessorId q,
   // (if still live) does its quorum-unreachable accounting exactly as if
   // `q` had nacked, and stale hooks for completed ops fall through the
   // "already completed" guards.
-  net::Message m;
-  m.src = q;
-  m.dst = id_;
-  m.sent_at = env_.clock->Now();
   if (write_phase) {
-    m.type = core::msg::kPhysWriteReply;
-    m.body = PhysWriteReply{op_id, false, "delivery-timeout"};
+    HandleWriteReply(q, PhysWriteReply{op_id, false, "delivery-timeout"});
   } else {
-    m.type = core::msg::kPhysReadReply;
-    m.body = PhysReadReply{op_id, false, "delivery-timeout", Value(),
-                           kEpochDate};
+    HandleReadReply(q, PhysReadReply{op_id, false, "delivery-timeout", Value(),
+                                     kEpochDate});
   }
-  HandleProtocolMessage(m);
 }
 
 bool QuorumNode::HandleProtocolMessage(const net::Message& m) {
-  if (m.type == core::msg::kPhysReadReply) {
-    const auto& body = net::BodyAs<PhysReadReply>(m);
-    // A read reply resolves a logical read or a write's version poll.
-    if (auto it = pending_reads_.find(body.op_id);
-        it != pending_reads_.end()) {
-      PendingRead& pr = it->second;
-      pr.outstanding.erase(m.src);
-      if (pr.max_lock_wait_us < body.lock_wait_us) {
-        pr.max_lock_wait_us = body.lock_wait_us;
-      }
-      if (body.ok) {
-        pr.votes_have += env_.placement->WeightOf(pr.obj, m.src);
-        if (!pr.have_value || pr.best_date < body.date) {
-          pr.best_value = body.value;
-          pr.best_date = body.date;
-          pr.have_value = true;
-        }
-      }
-      if (pr.votes_have >= pr.votes_needed) {
-        PendingRead done = std::move(it->second);
-        pending_reads_.erase(it);
-        env_.executor->Cancel(done.timeout_event);
-        // The quorum can complete with requests still outstanding (vote
-        // overshoot under weighted placements: SelectCopies may contact
-        // more copies than the cheapest reply-set needs). Cancel them —
-        // a leftover request retransmitted past commit would be served
-        // outside the transaction's 2PL window.
-        CancelOutstanding(done);
-        ++stats_.reads_ok;
-        if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
-          rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-        }
-        env_.recorder->TxnRead(done.txn, done.obj, done.best_value,
-                               done.best_date, env_.clock->Now());
-        done.cb(core::ReadResult{done.best_value, done.best_date, m.src});
-        return true;
-      }
-      // Can the remaining replies still reach the quorum?
-      Weight potential = pr.votes_have;
-      for (ProcessorId q : pr.outstanding) {
-        potential += env_.placement->WeightOf(pr.obj, q);
-      }
-      if (potential < pr.votes_needed) {
-        // Delivery deadlines surface as an explicit timeout, not a
-        // generic abort: the copy never saw the request.
-        FailRead(body.op_id,
-                 body.error == "delivery-timeout"
-                     ? Status::Timeout("read quorum unreachable: delivery "
-                                       "deadline passed")
-                     : Status::Aborted("read quorum unreachable: " +
-                                       body.error));
-      }
-      return true;
-    }
-    if (auto it = pending_writes_.find(body.op_id);
-        it != pending_writes_.end()) {
-      PendingWrite& pw = it->second;
-      if (!pw.polling) return true;  // Stale poll reply.
-      pw.outstanding.erase(m.src);
-      if (pw.max_lock_wait_us < body.lock_wait_us) {
-        pw.max_lock_wait_us = body.lock_wait_us;
-      }
-      if (body.ok) {
-        pw.votes_have += env_.placement->WeightOf(pw.obj, m.src);
-        pw.pollers.insert(m.src);
-        if (pw.max_date < body.date) pw.max_date = body.date;
-      }
-      if (pw.votes_have >= pw.votes_needed) {
-        StartWritePhase2(body.op_id);
-        return true;
-      }
-      Weight potential = pw.votes_have;
-      for (ProcessorId q : pw.outstanding) {
-        potential += env_.placement->WeightOf(pw.obj, q);
-      }
-      if (potential < pw.votes_needed) {
-        FailWrite(body.op_id,
-                  body.error == "delivery-timeout"
-                      ? Status::Timeout("write quorum unreachable: delivery "
-                                        "deadline passed")
-                      : Status::Aborted("write quorum unreachable: " +
-                                        body.error));
-      }
-      return true;
-    }
-    return true;  // Reply to an operation that already completed/failed.
+  if (const auto* body = std::get_if<PhysReadReply>(&m.body)) {
+    HandleReadReply(m.src, *body);
+    return true;
   }
-  if (m.type == core::msg::kPhysWriteReply) {
-    const auto& body = net::BodyAs<PhysWriteReply>(m);
-    auto it = pending_writes_.find(body.op_id);
-    if (it == pending_writes_.end()) return true;
-    PendingWrite& pw = it->second;
-    if (pw.polling) return true;
-    if (!body.ok) {
-      FailWrite(body.op_id,
-                body.error == "delivery-timeout"
-                    ? Status::Timeout(
-                          "physical write delivery deadline passed")
-                    : Status::Aborted("physical write failed: " + body.error));
-      return true;
-    }
-    pw.outstanding.erase(m.src);
-    if (pw.max_lock_wait_us < body.lock_wait_us) {
-      pw.max_lock_wait_us = body.lock_wait_us;
-    }
-    if (pw.outstanding.empty()) {
-      PendingWrite done = std::move(it->second);
-      pending_writes_.erase(it);
-      env_.executor->Cancel(done.timeout_event);
-      ++stats_.writes_ok;
-      if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
-        rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      }
-      env_.recorder->TxnWrite(done.txn, done.obj, done.value,
-                              env_.clock->Now());
-      done.cb(Status::Ok());
-    }
+  if (const auto* body = std::get_if<PhysWriteReply>(&m.body)) {
+    HandleWriteReply(m.src, *body);
     return true;
   }
   return false;
+}
+
+void QuorumNode::HandleReadReply(ProcessorId src, const PhysReadReply& body) {
+  // A read reply resolves a logical read or a write's version poll.
+  if (auto it = pending_reads_.find(body.op_id);
+      it != pending_reads_.end()) {
+    PendingRead& pr = it->second;
+    pr.outstanding.erase(src);
+    if (pr.max_lock_wait_us < body.lock_wait_us) {
+      pr.max_lock_wait_us = body.lock_wait_us;
+    }
+    if (body.ok) {
+      pr.votes_have += env_.placement->WeightOf(pr.obj, src);
+      if (!pr.have_value || pr.best_date < body.date) {
+        pr.best_value = body.value;
+        pr.best_date = body.date;
+        pr.have_value = true;
+      }
+    }
+    if (pr.votes_have >= pr.votes_needed) {
+      PendingRead done = std::move(it->second);
+      pending_reads_.erase(it);
+      env_.executor->Cancel(done.timeout_event);
+      // The quorum can complete with requests still outstanding (vote
+      // overshoot under weighted placements: SelectCopies may contact
+      // more copies than the cheapest reply-set needs). Cancel them —
+      // a leftover request retransmitted past commit would be served
+      // outside the transaction's 2PL window.
+      CancelOutstanding(done);
+      ++stats_.reads_ok;
+      if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
+        rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
+      }
+      env_.recorder->TxnRead(done.txn, done.obj, done.best_value,
+                             done.best_date, env_.clock->Now());
+      done.cb(core::ReadResult{done.best_value, done.best_date, src});
+      return;
+    }
+    // Can the remaining replies still reach the quorum?
+    Weight potential = pr.votes_have;
+    for (ProcessorId q : pr.outstanding) {
+      potential += env_.placement->WeightOf(pr.obj, q);
+    }
+    if (potential < pr.votes_needed) {
+      // Delivery deadlines surface as an explicit timeout, not a
+      // generic abort: the copy never saw the request.
+      FailRead(body.op_id,
+               body.error == "delivery-timeout"
+                   ? Status::Timeout("read quorum unreachable: delivery "
+                                     "deadline passed")
+                   : Status::Aborted("read quorum unreachable: " +
+                                     body.error));
+    }
+    return;
+  }
+  if (auto it = pending_writes_.find(body.op_id);
+      it != pending_writes_.end()) {
+    PendingWrite& pw = it->second;
+    if (!pw.polling) return;  // Stale poll reply.
+    pw.outstanding.erase(src);
+    if (pw.max_lock_wait_us < body.lock_wait_us) {
+      pw.max_lock_wait_us = body.lock_wait_us;
+    }
+    if (body.ok) {
+      pw.votes_have += env_.placement->WeightOf(pw.obj, src);
+      pw.pollers.insert(src);
+      if (pw.max_date < body.date) pw.max_date = body.date;
+    }
+    if (pw.votes_have >= pw.votes_needed) {
+      StartWritePhase2(body.op_id);
+      return;
+    }
+    Weight potential = pw.votes_have;
+    for (ProcessorId q : pw.outstanding) {
+      potential += env_.placement->WeightOf(pw.obj, q);
+    }
+    if (potential < pw.votes_needed) {
+      FailWrite(body.op_id,
+                body.error == "delivery-timeout"
+                    ? Status::Timeout("write quorum unreachable: delivery "
+                                      "deadline passed")
+                    : Status::Aborted("write quorum unreachable: " +
+                                      body.error));
+    }
+  }
+  // Otherwise: a reply to an operation that already completed or failed.
+}
+
+void QuorumNode::HandleWriteReply(ProcessorId src,
+                                  const PhysWriteReply& body) {
+  auto it = pending_writes_.find(body.op_id);
+  if (it == pending_writes_.end()) return;
+  PendingWrite& pw = it->second;
+  if (pw.polling) return;
+  if (!body.ok) {
+    FailWrite(body.op_id,
+              body.error == "delivery-timeout"
+                  ? Status::Timeout(
+                        "physical write delivery deadline passed")
+                  : Status::Aborted("physical write failed: " + body.error));
+    return;
+  }
+  pw.outstanding.erase(src);
+  if (pw.max_lock_wait_us < body.lock_wait_us) {
+    pw.max_lock_wait_us = body.lock_wait_us;
+  }
+  if (pw.outstanding.empty()) {
+    PendingWrite done = std::move(it->second);
+    pending_writes_.erase(it);
+    env_.executor->Cancel(done.timeout_event);
+    ++stats_.writes_ok;
+    if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
+      rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
+    }
+    env_.recorder->TxnWrite(done.txn, done.obj, done.value,
+                            env_.clock->Now());
+    done.cb(Status::Ok());
+  }
 }
 
 }  // namespace vp::protocols

@@ -126,6 +126,10 @@ class QuorumNode : public core::NodeBase {
   /// gets an explicit timeout instead of waiting out the op timer.
   /// `write_phase` distinguishes a phase-2 write from a read/version poll.
   void OnDeliveryTimeout(uint64_t op_id, ProcessorId q, bool write_phase);
+  /// Reply paths, shared by delivered replies and synthesized nacks.
+  void HandleReadReply(ProcessorId src, const core::msg::PhysReadReply& body);
+  void HandleWriteReply(ProcessorId src,
+                        const core::msg::PhysWriteReply& body);
 
   QuorumConfig config_;
   std::map<uint64_t, PendingRead> pending_reads_;

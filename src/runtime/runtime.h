@@ -25,11 +25,8 @@
 #ifndef VPART_RUNTIME_RUNTIME_H_
 #define VPART_RUNTIME_RUNTIME_H_
 
-#include <any>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <utility>
 
 #include "common/types.h"
 #include "net/message.h"
@@ -101,10 +98,6 @@ class Transport {
   /// Sends a message. The send itself never fails; faults surface as
   /// non-delivery.
   virtual void Send(net::Message msg) = 0;
-
-  /// Convenience: builds and sends a message.
-  virtual void Send(ProcessorId src, ProcessorId dst, std::string type,
-                    std::any body) = 0;
 
   /// True if processor `p` is currently up.
   virtual bool Alive(ProcessorId p) const = 0;

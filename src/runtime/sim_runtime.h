@@ -48,10 +48,6 @@ class SimTransport final : public Transport {
     network_->Register(p, endpoint);
   }
   void Send(net::Message msg) override { network_->Send(std::move(msg)); }
-  void Send(ProcessorId src, ProcessorId dst, std::string type,
-            std::any body) override {
-    network_->Send(src, dst, std::move(type), std::move(body));
-  }
   bool Alive(ProcessorId p) const override {
     return network_->graph()->Alive(p);
   }

@@ -146,16 +146,6 @@ class ThreadRuntime::ThreadTransport final : public Transport {
                       [this, link, dst] { DeliverOne(link, dst); });
   }
 
-  void Send(ProcessorId src, ProcessorId dst, std::string type,
-            std::any body) override {
-    net::Message msg;
-    msg.src = src;
-    msg.dst = dst;
-    msg.type = std::move(type);
-    msg.body = std::move(body);
-    Send(std::move(msg));
-  }
-
   bool Alive(ProcessorId p) const override {
     return p < n_ && alive_[p].load(std::memory_order_acquire);
   }

@@ -2,10 +2,9 @@
 // `Timer` objects (Fig. 5-8): `T.set(d)` arms it, `T.reset` disarms it,
 // expiry invokes a callback ("T.timeout" branch).
 //
-// This is the runtime-agnostic successor of sim::Timer (sim/timer.h); the
-// generation guard makes it safe on concurrent backends too, where Cancel
-// is best-effort: a superseded expiry that slips past Cancel still finds a
-// stale generation and does nothing. On the sharded ThreadRuntime this
+// The generation guard makes it safe on concurrent backends too, where
+// Cancel is best-effort: a superseded expiry that slips past Cancel still
+// finds a stale generation and does nothing. On the sharded ThreadRuntime this
 // guard carries real weight — an expiry fires on the owning strand's shard
 // while the Cancel may have raced it from anywhere (tombstones only stop
 // tasks still in the shard's timer heap; a task already dispatched, or one

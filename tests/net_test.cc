@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/failure_injector.h"
@@ -104,6 +108,28 @@ class Sink : public NodeInterface {
   std::vector<Message> received;
 };
 
+/// A probe from `src` to `dst`; `seq` tells copies apart.
+Message ProbeMsg(ProcessorId src, ProcessorId dst, uint64_t seq = 0) {
+  Message m;
+  m.src = src;
+  m.dst = dst;
+  m.body = core::msg::Probe{src, VpId{}, seq};
+  return m;
+}
+
+uint64_t SeqOf(const Message& m) {
+  return std::get<core::msg::Probe>(m.body).seq;
+}
+
+/// Sends counted under the wire name `name`.
+uint64_t SentByName(const NetworkStats& s, std::string_view name) {
+  for (size_t i = 0; i < s.sent_by_type.size(); ++i) {
+    if (core::msg::kNames[i] == name) return s.sent_by_type[i];
+  }
+  ADD_FAILURE() << "no message type named " << name;
+  return 0;
+}
+
 struct NetFixture {
   sim::Scheduler scheduler;
   CommGraph graph{3};
@@ -119,19 +145,19 @@ struct NetFixture {
 
 TEST(Network, DeliversWithinDelayBounds) {
   NetFixture f;
-  f.net.Send(0, 1, "hello", std::string("payload"));
+  f.net.Send(ProbeMsg(0, 1, /*seq=*/7));
   f.scheduler.RunUntilIdle();
   ASSERT_EQ(f.sinks[1].received.size(), 1u);
   const Message& m = f.sinks[1].received[0];
-  EXPECT_EQ(m.type, "hello");
-  EXPECT_EQ(BodyAs<std::string>(m), "payload");
+  EXPECT_STREQ(core::msg::NameOf(m.body), "probe");
+  EXPECT_EQ(SeqOf(m), 7u);
   EXPECT_GE(f.scheduler.Now(), f.config.min_delay);
   EXPECT_LE(f.scheduler.Now(), f.config.max_delay);
 }
 
 TEST(Network, LocalDeliveryIsFast) {
   NetFixture f;
-  f.net.Send(2, 2, "self", 1);
+  f.net.Send(ProbeMsg(2, 2, 1));
   f.scheduler.RunUntilIdle();
   ASSERT_EQ(f.sinks[2].received.size(), 1u);
   EXPECT_EQ(f.scheduler.Now(), f.config.local_delay);
@@ -140,7 +166,7 @@ TEST(Network, LocalDeliveryIsFast) {
 TEST(Network, DropsWhenEdgeDown) {
   NetFixture f;
   f.graph.SetEdge(0, 1, false);
-  f.net.Send(0, 1, "x", 0);
+  f.net.Send(ProbeMsg(0, 1));
   f.scheduler.RunUntilIdle();
   EXPECT_TRUE(f.sinks[1].received.empty());
   EXPECT_EQ(f.net.stats().dropped_no_route, 1u);
@@ -149,14 +175,14 @@ TEST(Network, DropsWhenEdgeDown) {
 TEST(Network, DropsToCrashedReceiver) {
   NetFixture f;
   f.graph.SetAlive(1, false);
-  f.net.Send(0, 1, "x", 0);
+  f.net.Send(ProbeMsg(0, 1));
   f.scheduler.RunUntilIdle();
   EXPECT_TRUE(f.sinks[1].received.empty());
 }
 
 TEST(Network, InFlightMessageLostWhenLinkCutMidFlight) {
   NetFixture f;
-  f.net.Send(0, 1, "x", 0);
+  f.net.Send(ProbeMsg(0, 1));
   // Cut the link before delivery.
   f.graph.SetEdge(0, 1, false);
   f.scheduler.RunUntilIdle();
@@ -168,7 +194,7 @@ TEST(Network, RandomOmissionFailures) {
   NetworkConfig cfg;
   cfg.drop_prob = 0.5;
   NetFixture f(cfg);
-  for (int i = 0; i < 1000; ++i) f.net.Send(0, 1, "x", i);
+  for (int i = 0; i < 1000; ++i) f.net.Send(ProbeMsg(0, 1, i));
   f.scheduler.RunUntilIdle();
   const auto& s = f.net.stats();
   EXPECT_NEAR(static_cast<double>(s.dropped_fault) / 1000, 0.5, 0.06);
@@ -181,7 +207,7 @@ TEST(Network, PerformanceFailuresExceedDelta) {
   cfg.slow_min_delay = sim::Millis(50);
   cfg.slow_max_delay = sim::Millis(60);
   NetFixture f(cfg);
-  f.net.Send(0, 1, "x", 0);
+  f.net.Send(ProbeMsg(0, 1));
   f.scheduler.RunUntilIdle();
   ASSERT_EQ(f.sinks[1].received.size(), 1u);
   EXPECT_GE(f.scheduler.Now(), sim::Millis(50));
@@ -193,7 +219,7 @@ TEST(Network, DuplicationDeliversExtraCopies) {
   NetworkConfig cfg;
   cfg.dup_prob = 1.0;  // Every remote message is duplicated.
   NetFixture f(cfg);
-  for (int i = 0; i < 100; ++i) f.net.Send(0, 1, "x", i);
+  for (int i = 0; i < 100; ++i) f.net.Send(ProbeMsg(0, 1, i));
   f.scheduler.RunUntilIdle();
   EXPECT_EQ(f.net.stats().duplicated, 100u);
   EXPECT_EQ(f.sinks[1].received.size(), 200u);
@@ -204,7 +230,7 @@ TEST(Network, DuplicationNeverAppliesLocally) {
   NetworkConfig cfg;
   cfg.dup_prob = 1.0;
   NetFixture f(cfg);
-  f.net.Send(1, 1, "self", 0);
+  f.net.Send(ProbeMsg(1, 1));
   f.scheduler.RunUntilIdle();
   EXPECT_EQ(f.net.stats().duplicated, 0u);
   EXPECT_EQ(f.sinks[1].received.size(), 1u);
@@ -216,7 +242,7 @@ TEST(Network, ReorderingHoldsMessagesBack) {
   cfg.reorder_min_extra = sim::Millis(20);
   cfg.reorder_max_extra = sim::Millis(30);
   NetFixture f(cfg);
-  f.net.Send(0, 1, "x", 0);
+  f.net.Send(ProbeMsg(0, 1));
   f.scheduler.RunUntilIdle();
   ASSERT_EQ(f.sinks[1].received.size(), 1u);
   // Normal delay plus the adversarial hold-back.
@@ -234,39 +260,79 @@ TEST(Network, ReorderingInvertsSendOrder) {
   cfg.reorder_max_extra = sim::Millis(60);
   cfg.reorder_prob = 1.0;
   NetFixture f(cfg);
-  f.net.Send(0, 1, "first", 1);
+  f.net.Send(ProbeMsg(0, 1, 1));
   f.net.mutable_config()->reorder_prob = 0.0;
-  f.net.Send(0, 1, "second", 2);
+  f.net.Send(ProbeMsg(0, 1, 2));
   f.scheduler.RunUntilIdle();
   ASSERT_EQ(f.sinks[1].received.size(), 2u);
-  EXPECT_EQ(f.sinks[1].received[0].type, "second");
-  EXPECT_EQ(f.sinks[1].received[1].type, "first");
+  EXPECT_EQ(SeqOf(f.sinks[1].received[0]), 2u);
+  EXPECT_EQ(SeqOf(f.sinks[1].received[1]), 1u);
 }
 
 TEST(Network, OneWayCutDropsOnlyOneDirection) {
   NetFixture f;
   f.graph.SetEdgeOneWay(0, 1, false);
-  f.net.Send(0, 1, "a-to-b", 0);
-  f.net.Send(1, 0, "b-to-a", 0);
+  f.net.Send(ProbeMsg(0, 1));
+  f.net.Send(ProbeMsg(1, 0));
   f.scheduler.RunUntilIdle();
   EXPECT_TRUE(f.sinks[1].received.empty());
   ASSERT_EQ(f.sinks[0].received.size(), 1u);
-  EXPECT_EQ(f.sinks[0].received[0].type, "b-to-a");
+  EXPECT_EQ(f.sinks[0].received[0].src, 1u);
   f.graph.SetEdgeOneWay(0, 1, true);
-  f.net.Send(0, 1, "a-to-b", 1);
+  f.net.Send(ProbeMsg(0, 1, 1));
   f.scheduler.RunUntilIdle();
   EXPECT_EQ(f.sinks[1].received.size(), 1u);
 }
 
 TEST(Network, StatsByType) {
   NetFixture f;
-  f.net.Send(0, 1, "probe", 0);
-  f.net.Send(0, 2, "probe", 0);
-  f.net.Send(1, 2, "ack", 0);
+  f.net.Send(ProbeMsg(0, 1));
+  f.net.Send(ProbeMsg(0, 2));
+  Message ack;
+  ack.src = 1;
+  ack.dst = 2;
+  ack.body = core::msg::ProbeAck{1, 0};
+  f.net.Send(ack);
   f.scheduler.RunUntilIdle();
-  EXPECT_EQ(f.net.stats().sent_by_type.at("probe"), 2u);
-  EXPECT_EQ(f.net.stats().sent_by_type.at("ack"), 1u);
+  EXPECT_EQ(SentByName(f.net.stats(), "probe"), 2u);
+  EXPECT_EQ(SentByName(f.net.stats(), "probe-ack"), 1u);
+  EXPECT_EQ(SentByName(f.net.stats(), "newvp"), 0u);
   EXPECT_EQ(f.net.stats().delivered, 3u);
+}
+
+// The closed wire type keeps the tag strings it replaced: each alternative
+// has its own name, and logs, traces and per-type counts print it.
+TEST(WireType, NamesAreDistinctAndMatchTheTagStrings) {
+  using namespace core::msg;
+  const std::pair<Body, std::string> kExpected[] = {
+      {NewVp{}, "newvp"},
+      {VpOk{}, "vp-ok"},
+      {VpCommit{}, "vp-commit"},
+      {Probe{}, "probe"},
+      {ProbeAck{}, "probe-ack"},
+      {PhysRead{}, "read"},
+      {PhysReadReply{}, "read-reply"},
+      {PhysWrite{}, "write"},
+      {PhysWriteReply{}, "write-reply"},
+      {DateQuery{}, "date-query"},
+      {DateReply{}, "date-reply"},
+      {LogQuery{}, "log-query"},
+      {LogReply{}, "log-reply"},
+      {TxnOutcomeMsg{}, "txn-outcome"},
+      {TxnOutcomeAck{}, "txn-outcome-ack"},
+      {TxnStatusQuery{}, "txn-status-q"},
+      {TxnStatusReply{}, "txn-status-r"},
+      {RelAck{}, "rel-ack"},
+  };
+  ASSERT_EQ(std::size(kExpected), kNames.size());
+  std::set<std::string> distinct;
+  for (size_t i = 0; i < std::size(kExpected); ++i) {
+    const auto& [body, name] = kExpected[i];
+    EXPECT_EQ(body.index(), i) << name;
+    EXPECT_EQ(NameOf(body), name);
+    distinct.insert(kNames[i]);
+  }
+  EXPECT_EQ(distinct.size(), kNames.size());
 }
 
 TEST(Network, DeltaScalesWithEdgeCost) {

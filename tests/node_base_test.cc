@@ -182,13 +182,15 @@ class PhysWriteTap : public net::NodeInterface {
     cluster_->network().Register(p_, this);
   }
   void HandleMessage(const net::Message& m) override {
-    if (m.type == core::msg::kPhysWrite) writes_.push_back(m);
+    if (std::holds_alternative<core::msg::PhysWrite>(m.body)) {
+      writes_.push_back(m);
+    }
     cluster_->node(p_).HandleMessage(m);
   }
   /// The first physical write carrying `value`.
   const net::Message* Find(const Value& value) const {
     for (const net::Message& m : writes_) {
-      if (net::BodyAs<core::msg::PhysWrite>(m).value == value) return &m;
+      if (std::get<core::msg::PhysWrite>(m.body).value == value) return &m;
     }
     return nullptr;
   }

@@ -123,7 +123,7 @@ struct TracedEndpoint : public net::NodeInterface {
 };
 
 // A trace id stamped on a send must survive retransmission: the id rides
-// the envelope, so the copy that finally lands carries the same id the
+// the message header, so the copy that finally lands carries the same id the
 // coordinator assigned.
 TEST(Tracing, TraceIdSurvivesRetransmission) {
   sim::Scheduler sched;
@@ -143,7 +143,10 @@ TEST(Tracing, TraceIdSurvivesRetransmission) {
 
   const uint64_t trace = tracer.NewTraceId();
   ASSERT_NE(trace, 0u);
-  a.channel.Send(1, "phys-write", std::string("v1"), nullptr, trace);
+  core::msg::PhysWrite write;
+  write.txn = TxnId{0, 1};
+  write.value = "v1";
+  a.channel.Send(1, write, nullptr, trace);
   sched.RunUntilIdle();
 
   ASSERT_EQ(b.inbox.size(), 1u);
@@ -151,9 +154,11 @@ TEST(Tracing, TraceIdSurvivesRetransmission) {
   const MetricsSnapshot snap = metrics.Snapshot();
   EXPECT_GE(snap.CounterValue("rel.retransmits"), 1u);
   EXPECT_EQ(snap.CounterValue("rel.delivered"), 1u);
-  // The retransmit instant events carry the same trace id.
+  // The retransmit instant events carry the same trace id, and name the
+  // retransmitted message by its wire name.
   const std::string json = tracer.ToJson();
   EXPECT_NE(json.find("rel.retransmit"), std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"write\""), std::string::npos);
 }
 
 TEST(Tracing, DisabledTracerAssignsNoIdsAndRecordsNothing) {

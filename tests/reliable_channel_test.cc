@@ -27,7 +27,10 @@ using net::NetworkConfig;
 using net::ReliableChannel;
 using net::ReliableConfig;
 
-constexpr const char* kPayload = "payload";
+/// A payload for channel tests: a probe whose `seq` tells messages apart.
+core::msg::Probe Payload(uint64_t seq) {
+  return core::msg::Probe{0, VpId{}, seq};
+}
 
 /// A bare network endpoint owning one channel; reliable deliveries land in
 /// `inbox`, anything the channel does not consume in `raw`.
@@ -70,7 +73,7 @@ TEST(ReliableChannel, DuplicatedTrafficIsDeliveredExactlyOnce) {
   nc.dup_prob = 1.0;  // Every message (data and acks) duplicated.
   Rig rig(nc, ReliableConfig{});
   for (int i = 0; i < 5; ++i) {
-    rig.a.channel.Send(1, kPayload, std::string("m") + std::to_string(i));
+    rig.a.channel.Send(1, Payload(i));
   }
   rig.sched.RunUntilIdle();
 
@@ -78,14 +81,14 @@ TEST(ReliableChannel, DuplicatedTrafficIsDeliveredExactlyOnce) {
   // does not promise FIFO order (duplication perturbs delivery timing), so
   // compare the delivered multiset against the sent set.
   ASSERT_EQ(rig.b.inbox.size(), 5u);
-  std::multiset<std::string> delivered;
+  std::multiset<uint64_t> delivered;
   for (const Message& m : rig.b.inbox) {
-    EXPECT_EQ(m.type, kPayload);
-    delivered.insert(net::BodyAs<std::string>(m));
+    // The data message is handed up as it arrived, header envelope intact.
+    EXPECT_NE(m.rel_id, 0u);
+    delivered.insert(std::get<core::msg::Probe>(m.body).seq);
   }
-  EXPECT_EQ(delivered,
-            (std::multiset<std::string>{"m0", "m1", "m2", "m3", "m4"}));
-  // Receiver dedup swallowed the duplicate envelopes...
+  EXPECT_EQ(delivered, (std::multiset<uint64_t>{0, 1, 2, 3, 4}));
+  // Receiver dedup swallowed the duplicate copies...
   EXPECT_GT(rig.b.channel.stats().dup_suppressed, 0u);
   // ...and the duplicate acks for already-settled sends were ignored.
   EXPECT_GT(rig.a.channel.stats().stale_acks, 0u);
@@ -102,7 +105,7 @@ TEST(ReliableChannel, RetransmissionOutrunsAdversarialReordering) {
   nc.reorder_prob = 1.0;
   Rig rig(nc, ReliableConfig{});
   for (int i = 0; i < 3; ++i) {
-    rig.a.channel.Send(1, kPayload, std::string("r") + std::to_string(i));
+    rig.a.channel.Send(1, Payload(i));
   }
   rig.sched.RunUntilIdle();
 
@@ -125,7 +128,7 @@ TEST(ReliableChannel, BackoffCapsAndDeadlineFiresTheTimeoutHook) {
   rig.graph.SetEdge(0, 1, false);  // Peer unreachable: no copy ever lands.
 
   int timeouts_fired = 0;
-  rig.a.channel.Send(1, kPayload, std::string("doomed"),
+  rig.a.channel.Send(1, Payload(0),
                      [&timeouts_fired]() { ++timeouts_fired; });
   rig.sched.RunUntilIdle();
 
@@ -144,20 +147,19 @@ TEST(ReliableChannel, AcksFromAnotherIncarnationAreStale) {
   ReliableChannel reborn(rig.rt.clock(), rig.rt.executor(),
                          rig.rt.transport(), 0, /*incarnation=*/2,
                          ReliableConfig{});
-  const uint64_t rel_id = reborn.Send(1, kPayload, std::string("x"));
+  const uint64_t rel_id = reborn.Send(1, Payload(0));
 
   Message ack;
   ack.src = 1;
   ack.dst = 0;
-  ack.type = net::kRelAck;
   // An ack echoing the previous life's incarnation must not settle the
   // send of this one.
-  ack.body = net::RelAckBody{rel_id, /*incarnation=*/1};
+  ack.body = core::msg::RelAck{rel_id, /*incarnation=*/1};
   EXPECT_TRUE(reborn.HandleMessage(ack, [](const Message&) {}));
   EXPECT_EQ(reborn.pending_count(), 1u);
   EXPECT_EQ(reborn.stats().stale_acks, 1u);
 
-  ack.body = net::RelAckBody{rel_id, /*incarnation=*/2};
+  ack.body = core::msg::RelAck{rel_id, /*incarnation=*/2};
   EXPECT_TRUE(reborn.HandleMessage(ack, [](const Message&) {}));
   EXPECT_EQ(reborn.pending_count(), 0u);
   EXPECT_EQ(reborn.stats().acks_received, 1u);

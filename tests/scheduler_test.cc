@@ -1,11 +1,14 @@
-// Unit tests for the discrete-event kernel.
+// Unit tests for the discrete-event kernel, and for runtime::Timer driven
+// deterministically by it through the SimRuntime executor.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
-#include "sim/timer.h"
+#include "runtime/sim_runtime.h"
+#include "runtime/timer.h"
 
 namespace vp::sim {
 namespace {
@@ -121,7 +124,8 @@ TEST(Scheduler, CountsExecutedEvents) {
 
 TEST(Timer, FiresAfterDelay) {
   Scheduler s;
-  Timer t(&s);
+  runtime::SimExecutor exec(&s);
+  runtime::Timer t(&exec);
   bool fired = false;
   t.Set(100, [&] { fired = true; });
   EXPECT_TRUE(t.armed());
@@ -132,7 +136,8 @@ TEST(Timer, FiresAfterDelay) {
 
 TEST(Timer, ResetDisarms) {
   Scheduler s;
-  Timer t(&s);
+  runtime::SimExecutor exec(&s);
+  runtime::Timer t(&exec);
   bool fired = false;
   t.Set(100, [&] { fired = true; });
   t.Reset();
@@ -142,7 +147,8 @@ TEST(Timer, ResetDisarms) {
 
 TEST(Timer, ReSetReplacesDeadline) {
   Scheduler s;
-  Timer t(&s);
+  runtime::SimExecutor exec(&s);
+  runtime::Timer t(&exec);
   int which = 0;
   t.Set(100, [&] { which = 1; });
   t.Set(50, [&] { which = 2; });
@@ -153,7 +159,8 @@ TEST(Timer, ReSetReplacesDeadline) {
 
 TEST(Timer, SetInsideCallbackWorks) {
   Scheduler s;
-  Timer t(&s);
+  runtime::SimExecutor exec(&s);
+  runtime::Timer t(&exec);
   int fires = 0;
   std::function<void()> cb = [&]() {
     if (++fires < 3) t.Set(10, cb);

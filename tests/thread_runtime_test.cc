@@ -217,12 +217,23 @@ TEST(ThreadRuntimeWheel, RunOnRacingStopTerminates) {
   }
 }
 
+/// A probe from processor 0 to 1; `seq` tells messages apart.
+net::Message Probe(uint64_t seq) {
+  net::Message m;
+  m.src = 0;
+  m.dst = 1;
+  m.body = core::msg::Probe{0, VpId{}, seq};
+  return m;
+}
+
+/// Records the `seq` of every probe it receives.
 class RecordingEndpoint : public net::NodeInterface {
  public:
   void HandleMessage(const net::Message& m) override {
-    received.push_back(m.type);  // Runs strand-serialized.
+    // Runs strand-serialized.
+    received.push_back(std::get<core::msg::Probe>(m.body).seq);
   }
-  std::vector<std::string> received;
+  std::vector<uint64_t> received;
 };
 
 TEST(ThreadRuntimeTransport, PerLinkFifoOrder) {
@@ -231,7 +242,7 @@ TEST(ThreadRuntimeTransport, PerLinkFifoOrder) {
   rt.transport()->Register(1, &sink);
   constexpr int kMessages = 200;
   for (int i = 0; i < kMessages; ++i) {
-    rt.transport()->Send(0, 1, std::to_string(i), std::any{});
+    rt.transport()->Send(Probe(i));
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -244,7 +255,7 @@ TEST(ThreadRuntimeTransport, PerLinkFifoOrder) {
   rt.Stop();
   ASSERT_EQ(sink.received.size(), size_t{kMessages});
   for (int i = 0; i < kMessages; ++i) {
-    EXPECT_EQ(sink.received[i], std::to_string(i)) << "reordered at " << i;
+    EXPECT_EQ(sink.received[i], uint64_t(i)) << "reordered at " << i;
   }
 }
 
@@ -259,8 +270,8 @@ TEST(ThreadRuntimeTransport, SendBeforeRegisterIsRetriedNotLost) {
   cfg.delta = sim::Millis(200);  // Generous retry budget for slow CI hosts.
   ThreadRuntime rt(2, cfg);
   // Send while endpoint 1 is alive but unregistered; delivery must wait.
-  rt.transport()->Send(0, 1, "early-0", std::any{});
-  rt.transport()->Send(0, 1, "early-1", std::any{});
+  rt.transport()->Send(Probe(0));
+  rt.transport()->Send(Probe(1));
   SleepMs(10);  // Let at least one delivery attempt find no endpoint.
   RecordingEndpoint sink;
   rt.transport()->Register(1, &sink);
@@ -274,8 +285,8 @@ TEST(ThreadRuntimeTransport, SendBeforeRegisterIsRetriedNotLost) {
   }
   rt.Stop();
   ASSERT_EQ(sink.received.size(), 2u);
-  EXPECT_EQ(sink.received[0], "early-0");  // FIFO survives the retries.
-  EXPECT_EQ(sink.received[1], "early-1");
+  EXPECT_EQ(sink.received[0], 0u);  // FIFO survives the retries.
+  EXPECT_EQ(sink.received[1], 1u);
   const obs::MetricsSnapshot snap = reg.Snapshot();
   EXPECT_GE(snap.CounterValue("net.msgs_retried_unregistered"), 1u);
   EXPECT_EQ(snap.CounterValue("net.msgs_dropped_unregistered"), 0u);
@@ -290,7 +301,7 @@ TEST(ThreadRuntimeTransport, NeverRegisteredDropsAreCounted) {
   cfg.metrics = &reg;
   cfg.delta = sim::Millis(5);  // Short budget: give up fast.
   ThreadRuntime rt(2, cfg);
-  rt.transport()->Send(0, 1, "lost", std::any{});
+  rt.transport()->Send(Probe(0));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (reg.Snapshot().CounterValue("net.msgs_dropped_unregistered") == 0 &&
@@ -314,13 +325,13 @@ TEST(ThreadRuntimeTransport, DeadDropsDoNotCountAsSends) {
   RecordingEndpoint sink;
   rt.transport()->Register(1, &sink);
   rt.SetAlive(1, false);
-  rt.transport()->Send(0, 1, "to-dead", std::any{});
+  rt.transport()->Send(Probe(1));  // To a dead receiver.
   rt.SetAlive(0, false);
   rt.SetAlive(1, true);
-  rt.transport()->Send(0, 1, "from-dead", std::any{});
+  rt.transport()->Send(Probe(2));  // From a dead sender.
   SleepMs(20);
   rt.SetAlive(0, true);
-  rt.transport()->Send(0, 1, "ok", std::any{});
+  rt.transport()->Send(Probe(3));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -336,7 +347,7 @@ TEST(ThreadRuntimeTransport, DeadDropsDoNotCountAsSends) {
   EXPECT_EQ(snap.CounterValue("net.msgs_remote"), 1u);
   EXPECT_EQ(snap.CounterValue("net.msgs_delivered"), 1u);
   ASSERT_EQ(sink.received.size(), 1u);
-  EXPECT_EQ(sink.received[0], "ok");
+  EXPECT_EQ(sink.received[0], 3u);
 }
 
 TEST(ThreadRuntimeTransport, DeadProcessorsDropTraffic) {
@@ -347,10 +358,10 @@ TEST(ThreadRuntimeTransport, DeadProcessorsDropTraffic) {
   rt.SetAlive(1, false);
   EXPECT_FALSE(rt.transport()->Alive(1));
   EXPECT_FALSE(rt.transport()->CanCommunicate(0, 1));
-  rt.transport()->Send(0, 1, "lost", std::any{});
+  rt.transport()->Send(Probe(1));  // Lost: the receiver is down.
   SleepMs(50);
   rt.SetAlive(1, true);
-  rt.transport()->Send(0, 1, "delivered", std::any{});
+  rt.transport()->Send(Probe(2));
   size_t got = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -361,19 +372,20 @@ TEST(ThreadRuntimeTransport, DeadProcessorsDropTraffic) {
   }
   rt.Stop();
   ASSERT_EQ(sink.received.size(), 1u);
-  EXPECT_EQ(sink.received[0], "delivered");
+  EXPECT_EQ(sink.received[0], 2u);
 }
 
 // ---------------------------------------------------------------------------
 // Protocols on real threads: 100 concurrent increment transactions from
 // competing client threads, then a read-back and the 1SR certifier.
 
-void RunConcurrentWorkload(harness::Protocol proto) {
+void RunConcurrentWorkload(harness::Protocol proto, bool reliable = false) {
   using TC = harness::ThreadCluster;
   harness::ThreadClusterConfig cfg;
   cfg.n_processors = 3;
   cfg.n_objects = 4;
   cfg.protocol = proto;
+  cfg.reliable.enabled = reliable;
   TC cluster(cfg);
 
   constexpr int kThreads = 4;
@@ -420,12 +432,24 @@ void RunConcurrentWorkload(harness::Protocol proto) {
   cluster.Stop();
   EXPECT_GE(cluster.recorder().committed_count(),
             uint64_t{kThreads * kTxnsPerThread});
+  if (reliable) {
+    // The physical ops really took the channel: acked, deduplicated and
+    // handed up on the receiving strand.
+    const obs::MetricsSnapshot snap = cluster.metrics().Snapshot();
+    EXPECT_GT(snap.CounterValue("rel.delivered"), 0u);
+    EXPECT_GT(snap.CounterValue("rel.acks"), 0u);
+  }
   auto cert = cluster.Certify();
   EXPECT_TRUE(cert.ok) << cert.detail;
 }
 
 TEST(ThreadProtocols, VirtualPartitionConcurrentTxnsAre1SR) {
   RunConcurrentWorkload(harness::Protocol::kVirtualPartition);
+}
+
+TEST(ThreadProtocols, VirtualPartitionOverReliableChannelIs1SR) {
+  RunConcurrentWorkload(harness::Protocol::kVirtualPartition,
+                        /*reliable=*/true);
 }
 
 TEST(ThreadProtocols, MajorityVotingConcurrentTxnsAre1SR) {

@@ -20,6 +20,16 @@ using harness::Cluster;
 using harness::ClusterConfig;
 using harness::Protocol;
 
+/// Injects one raw protocol message from `src` to `dst`.
+void Inject(Cluster& cluster, ProcessorId src, ProcessorId dst,
+            net::Body body) {
+  net::Message m;
+  m.src = src;
+  m.dst = dst;
+  m.body = std::move(body);
+  cluster.network().Send(std::move(m));
+}
+
 ClusterConfig Cfg(uint32_t n, uint64_t seed = 13) {
   return testutil::Cfg(n, seed, Protocol::kVirtualPartition,
                        /*n_objects=*/2);
@@ -33,7 +43,7 @@ TEST(VpCreation, InvitationWithLowerIdIsIgnored) {
   const VpId cur = node.cur_id();
 
   // Inject a stale invitation numbered below the current max.
-  cluster.network().Send(2, 1, core::msg::kNewVp, NewVp{VpId{0, 2}});
+  Inject(cluster, 2, 1, NewVp{VpId{0, 2}});
   cluster.RunFor(sim::Millis(50));
   EXPECT_TRUE(node.assigned());           // Not departed.
   EXPECT_EQ(node.cur_id(), cur);          // Unchanged.
@@ -46,7 +56,7 @@ TEST(VpCreation, InvitationWithHigherIdCausesDeparture) {
   auto& node = cluster.vp_node(1);
   const VpId huge{node.cur_id().n + 100, 2};
 
-  cluster.network().Send(2, 1, core::msg::kNewVp, NewVp{huge});
+  Inject(cluster, 2, 1, NewVp{huge});
   cluster.RunFor(sim::Millis(10));
   EXPECT_FALSE(node.assigned());  // Departed, awaiting commit.
   EXPECT_EQ(node.max_id(), huge);
@@ -64,14 +74,14 @@ TEST(VpCreation, CommitWhoseViewOmitsReceiverIsRefused) {
   cluster.RunFor(sim::Seconds(1));
   auto& node = cluster.vp_node(1);
   const VpId v{node.cur_id().n + 50, 2};
-  cluster.network().Send(2, 1, core::msg::kNewVp, NewVp{v});
+  Inject(cluster, 2, 1, NewVp{v});
   cluster.RunFor(sim::Millis(10));
   ASSERT_EQ(node.max_id(), v);
 
   VpCommit commit;
   commit.v = v;
   commit.view = {0, 2};  // Receiver 1 omitted.
-  cluster.network().Send(2, 1, core::msg::kVpCommit, commit);
+  Inject(cluster, 2, 1, commit);
   cluster.RunFor(sim::Millis(20));
   // Never joined v; instead started its own higher-numbered partition.
   EXPECT_TRUE(!node.assigned() || !(node.cur_id() == v));
@@ -86,9 +96,9 @@ TEST(VpCreation, StaleCommitForSupersededIdIsIgnored) {
   auto& node = cluster.vp_node(1);
   const VpId old_v{node.cur_id().n + 10, 2};
   const VpId new_v{node.cur_id().n + 20, 0};
-  cluster.network().Send(2, 1, core::msg::kNewVp, NewVp{old_v});
+  Inject(cluster, 2, 1, NewVp{old_v});
   cluster.RunFor(sim::Millis(10));
-  cluster.network().Send(0, 1, core::msg::kNewVp, NewVp{new_v});
+  Inject(cluster, 0, 1, NewVp{new_v});
   cluster.RunFor(sim::Millis(10));
   ASSERT_EQ(node.max_id(), new_v);
 
@@ -96,7 +106,7 @@ TEST(VpCreation, StaleCommitForSupersededIdIsIgnored) {
   VpCommit commit;
   commit.v = old_v;
   commit.view = {1, 2};
-  cluster.network().Send(2, 1, core::msg::kVpCommit, commit);
+  Inject(cluster, 2, 1, commit);
   cluster.RunFor(sim::Millis(20));
   EXPECT_FALSE(node.assigned() && node.cur_id() == old_v);
 }
@@ -125,7 +135,7 @@ TEST(VpCreation, DuplicateCommitIsIdempotent) {
   VpCommit dup;
   dup.v = node.cur_id();
   dup.view = node.view();
-  cluster.network().Send(node.cur_id().p, 1, core::msg::kVpCommit, dup);
+  Inject(cluster, node.cur_id().p, 1, dup);
   cluster.RunFor(sim::Millis(20));
   EXPECT_EQ(node.stats().vp_joins, joins_before);  // No re-join.
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
@@ -137,8 +147,7 @@ TEST(VpCreation, LateVpOkAfterPhaseOneIsIgnored) {
   ASSERT_TRUE(cluster.VpConverged());
   auto& node = cluster.vp_node(0);
   // A VpOk for a long-dead creation attempt must not corrupt state.
-  cluster.network().Send(2, 0, core::msg::kVpOk,
-                         VpOk{VpId{1, 0}, 2, VpId{0, 2}});
+  Inject(cluster, 2, 0, VpOk{VpId{1, 0}, 2, VpId{0, 2}});
   cluster.RunFor(sim::Millis(20));
   EXPECT_TRUE(node.assigned());
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
