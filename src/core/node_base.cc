@@ -262,11 +262,19 @@ void NodeBase::BroadcastOutcome(TxnId txn) {
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr || rec->outcome_unacked.empty()) return;
   const bool committed = rec->st == cc::TxnOutcome::kCommitted;
-  for (ProcessorId p : rec->outcome_unacked) {
+  const uint64_t trace = rec->trace;
+  // Iterate a copy: the local participant applies and acks inline, erasing
+  // itself from the set, and the waiters its lock release wakes may run
+  // client code that begins transactions (so `rec` is re-found below).
+  const std::set<ProcessorId> unacked = rec->outcome_unacked;
+  for (ProcessorId p : unacked) {
     SendPhys(p, msg::TxnOutcomeMsg{txn, committed}, /*on_timeout=*/nullptr,
-             rec->trace);
+             trace);
   }
-  ScheduleOutcomeRetry(txn);
+  rec = FindTxn(txn);
+  if (rec != nullptr && !rec->outcome_unacked.empty()) {
+    ScheduleOutcomeRetry(txn);
+  }
 }
 
 void NodeBase::ScheduleOutcomeRetry(TxnId txn) {
@@ -630,6 +638,17 @@ void NodeBase::HandleMessage(const net::Message& m) {
           m, [this](const net::Message& inner) { Dispatch(inner); })) {
     return;  // Reliable data or ack, consumed by the channel.
   }
+  Dispatch(m);
+}
+
+void NodeBase::DeliverLocal(net::Body body, uint64_t trace) {
+  if (retired_ || Crashed()) return;
+  net::Message m;
+  m.src = id_;
+  m.dst = id_;
+  m.body = std::move(body);
+  m.sent_at = env_.clock->Now();
+  m.trace = trace;
   Dispatch(m);
 }
 

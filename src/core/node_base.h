@@ -233,23 +233,37 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   /// through the reliable channel when it is enabled: retransmitted until
   /// acked or its delivery deadline passes, at which point `on_timeout`
   /// (if given) fires so the caller can fail the operation explicitly.
-  /// Self-sends and disabled channels go straight to the network (local
-  /// delivery never drops).
-  /// Returns the channel message id (0 for raw sends, which need no
-  /// cancellation); pass it to CancelPhys when the reply becomes
+  /// A disabled channel sends straight to the network.
+  ///
+  /// A message to this node itself never touches a transport: it is
+  /// dispatched by direct call (DeliverLocal), so the handler — and any
+  /// reply, lock grant or client callback it triggers — may run before
+  /// SendPhys returns. Callers must register whatever the reply looks up
+  /// before sending, and must re-find (not hold) map entries across it.
+  /// Returns the channel message id (0 for raw and local sends, which need
+  /// no cancellation); pass it to CancelPhys when the reply becomes
   /// irrelevant before it arrives.
   uint64_t SendPhys(ProcessorId dst, net::Body body,
                     net::ReliableChannel::TimeoutFn on_timeout = nullptr,
                     uint64_t trace = 0,
                     net::ReliableChannel::RetransmitFn on_retransmit =
                         nullptr) {
-    if (rel_ == nullptr || dst == id_) {
+    if (dst == id_) {
+      DeliverLocal(std::move(body), trace);
+      return 0;
+    }
+    if (rel_ == nullptr) {
       Send(dst, std::move(body), trace);
       return 0;
     }
     return rel_->Send(dst, std::move(body), std::move(on_timeout), trace,
                       std::move(on_retransmit));
   }
+
+  /// Dispatches a message from this node to itself on the caller's strand.
+  /// Dropped, as a transport would drop it, when the node is crashed or
+  /// retired.
+  void DeliverLocal(net::Body body, uint64_t trace);
 
   /// Retransmit hook for SendPhys requests issued on behalf of `txn`:
   /// charges each retransmission's stall (time since the previous copy of

@@ -6,8 +6,11 @@
 // protocol in core/vp_node.h; baselines in src/protocols). Clients are
 // protocol-agnostic: they program only against this interface.
 //
-// All calls are asynchronous (the system is simulated on one event loop);
-// each completion callback fires exactly once.
+// Each completion callback fires exactly once, possibly before the call
+// that triggered it returns: an operation served entirely by the node's
+// own copies completes inline. Clients therefore post their next
+// transaction through the executor instead of beginning it from inside a
+// callback.
 #ifndef VPART_CORE_REPLICA_CONTROL_H_
 #define VPART_CORE_REPLICA_CONTROL_H_
 

@@ -440,7 +440,6 @@ void VpNode::CommitToVp(VpId v, std::set<ProcessorId> view,
     }
     doomed.push_back(txn);
   }
-  for (TxnId txn : doomed) InternalAbort(txn);
 
   // Copy bring-up: placement gained under the new epoch materializes as an
   // empty copy (date ⊥) that R5 fills before it can serve. Departing
@@ -466,6 +465,11 @@ void VpNode::CommitToVp(VpId v, std::set<ProcessorId> view,
       dirty_.insert(obj);  // Pending until Unlock.
     }
   }
+  // The doomed transactions abort only now that the R5 locks are in place:
+  // their local outcome applies inline and its lock release can wake local
+  // waiters whose client code issues new operations in this vp, which must
+  // find the uninitialized copies locked.
+  for (TxnId txn : doomed) InternalAbort(txn);
   StartUpdateCopies(was_dirty);
   MaybeEndViewChangeSpan();
   ReprocessDeferred();
@@ -714,31 +718,12 @@ void VpNode::RecoverObjectFullRead(ObjectId obj) {
   pending_recoveries_[op_id] = std::move(rec);
 
   for (ProcessorId q : targets) {
-    if (q == id_) {
-      // Local copy: same lock discipline, no network hop.
-      const TxnId locker = SyntheticTxnId();
-      env_.locks->Acquire(
-          locker, obj, cc::LockMode::kShared, lock_timeout_,
-          [this, locker, obj, op_id](Status s) {
-            if (!s.ok()) {
-              HandleRecoveryReadReply(op_id, false, Value(), kEpochDate, id_,
-                                      s.message());
-              return;
-            }
-            auto v = env_.store->Read(obj);
-            env_.locks->ReleaseAll(locker);
-            VP_CHECK(v.ok());
-            HandleRecoveryReadReply(op_id, true, v.value().value,
-                                    v.value().date, id_, "");
-          });
-    } else {
-      ++stats_.recovery_reads_sent;
-      SendPhys(q,
-               msg::PhysRead{SyntheticTxnId(), obj, cur_id_, epoch_,
-                             /*recovery=*/true,
-                             /*for_update=*/false, op_id, {}},
-               nullptr, view_trace_);
-    }
+    if (q != id_) ++stats_.recovery_reads_sent;
+    SendPhys(q,
+             msg::PhysRead{SyntheticTxnId(), obj, cur_id_, epoch_,
+                           /*recovery=*/true,
+                           /*for_update=*/false, op_id, {}},
+             nullptr, view_trace_);
   }
 }
 
@@ -1122,14 +1107,31 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
     std::sort(rest.begin(), rest.end());
     for (auto& [cost, q] : rest) pr.fallbacks.push_back(q);
   }
-  pr.timeout_event = env_.executor->ScheduleAfter(
+  ++stats_.phys_reads_sent;
+  ctr_phys_reads_issued_->Increment();
+  rec->path.OpIssued(env_.clock->Now());
+  SendRead(op_id, std::move(pr), rec->participants);
+}
+
+void VpNode::SendRead(uint64_t op_id, PendingRead pr,
+                      const std::set<ProcessorId>& footprint) {
+  const ProcessorId target = pr.target;
+  const TxnId txn = pr.txn;
+  const uint64_t trace = pr.trace;
+  msg::PhysRead req{txn, pr.obj, cur_id_, epoch_, /*recovery=*/false,
+                    /*for_update=*/false, op_id, footprint};
+  pending_reads_[op_id] = std::move(pr);
+  SendPhys(target, std::move(req), nullptr, trace, RetransmitToPath(txn));
+  auto it = pending_reads_.find(op_id);
+  if (it == pending_reads_.end()) return;  // Served inline.
+  it->second.timeout_event = env_.executor->ScheduleAfter(
       2 * config_.delta + config_.lock_timeout, [this, op_id]() {
-        auto it = pending_reads_.find(op_id);
-        if (it == pending_reads_.end()) return;
+        auto it2 = pending_reads_.find(op_id);
+        if (it2 == pending_reads_.end()) return;
         // No response within the deadline: the view is suspect (Fig. 10
         // line 5's no-response handler).
-        PendingRead pr2 = std::move(it->second);
-        pending_reads_.erase(it);
+        PendingRead pr2 = std::move(it2->second);
+        pending_reads_.erase(it2);
         ++stats_.reads_failed;
         TxnRec* r = FindTxn(pr2.txn);
         if (r != nullptr) {
@@ -1140,15 +1142,6 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
         if (!Crashed()) CreateNewVp();
         pr2.cb(Status::Timeout("no response from copy holder"));
       });
-
-  ++stats_.phys_reads_sent;
-  ctr_phys_reads_issued_->Increment();
-  rec->path.OpIssued(env_.clock->Now());
-  SendPhys(pr.target,
-           msg::PhysRead{txn, obj, cur_id_, epoch_, /*recovery=*/false,
-                         /*for_update=*/false, op_id, rec->participants},
-           nullptr, pr.trace, RetransmitToPath(txn));
-  pending_reads_[op_id] = std::move(pr);
 }
 
 void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
@@ -1175,12 +1168,37 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
     if (lview_.count(q) > 0) pw.awaiting.insert(q);
   }
   VP_CHECK(!pw.awaiting.empty());
-  pw.timeout_event = env_.executor->ScheduleAfter(
+
+  const std::set<ProcessorId> targets = pw.awaiting;
+  const uint64_t trace = pw.trace;
+  // Registered before the sends: a local copy replies inline.
+  pending_writes_[op_id] = std::move(pw);
+  // Targets become participants as soon as the request is issued: they may
+  // stage the write even if this coordinator later aborts, so the outcome
+  // broadcast must reach them. They are also part of the footprint §6
+  // condition (2) checks at each server: a server whose view excludes a
+  // copy this write lands on must refuse it, even on the first operation.
+  for (ProcessorId q : targets) rec->participants.insert(q);
+  const std::set<ProcessorId> footprint = rec->participants;
+  ctr_phys_writes_issued_->Increment();
+  rec->path.OpIssued(env_.clock->Now());
+  // `rec` is not used past this point: an inline reply can run client code
+  // that begins transactions.
+  for (ProcessorId q : targets) {
+    ++stats_.phys_writes_sent;
+    SendPhys(q,
+             msg::PhysWrite{txn, obj, value, cur_id_, epoch_, op_id,
+                            footprint},
+             nullptr, trace, RetransmitToPath(txn));
+    // A local nack fails the write inline; the rest need not be sent.
+    if (pending_writes_.count(op_id) == 0) return;
+  }
+  pending_writes_[op_id].timeout_event = env_.executor->ScheduleAfter(
       2 * config_.delta + config_.lock_timeout, [this, op_id]() {
-        auto it = pending_writes_.find(op_id);
-        if (it == pending_writes_.end()) return;
-        PendingWrite pw2 = std::move(it->second);
-        pending_writes_.erase(it);
+        auto it2 = pending_writes_.find(op_id);
+        if (it2 == pending_writes_.end()) return;
+        PendingWrite pw2 = std::move(it2->second);
+        pending_writes_.erase(it2);
         ++stats_.writes_failed;
         TxnRec* r = FindTxn(pw2.txn);
         if (r != nullptr) {
@@ -1191,23 +1209,6 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
         if (!Crashed()) CreateNewVp();
         pw2.cb(Status::Timeout("write-all incomplete"));
       });
-
-  const std::set<ProcessorId> targets = pw.awaiting;
-  pending_writes_[op_id] = std::move(pw);
-  // Targets become participants as soon as the request is issued: they may
-  // stage the write even if this coordinator later aborts, so the outcome
-  // broadcast must reach them.
-  const std::set<ProcessorId> footprint = rec->participants;
-  for (ProcessorId q : targets) rec->participants.insert(q);
-  ctr_phys_writes_issued_->Increment();
-  rec->path.OpIssued(env_.clock->Now());
-  for (ProcessorId q : targets) {
-    ++stats_.phys_writes_sent;
-    SendPhys(q,
-             msg::PhysWrite{txn, obj, value, cur_id_, epoch_, op_id,
-                            footprint},
-             nullptr, rec->trace, RetransmitToPath(txn));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,7 +1237,6 @@ Status VpNode::ValidateAccess(const TxnId& txn, VpId v, ObjectId obj,
 }
 
 bool VpNode::MaybeDefer(const net::Message& m) {
-  if (reprocessing_) return false;  // Decide for real during reprocessing.
   // Park accesses addressed to the partition we are about to commit to.
   VpId v;
   ObjectId obj = kInvalidObject;
@@ -1291,14 +1291,16 @@ void VpNode::ReprocessDeferred() {
   if (deferred_.empty()) return;
   std::vector<net::Message> msgs = std::move(deferred_);
   deferred_.clear();
-  for (net::Message& m : msgs) {
-    // Re-run the normal pipeline; MaybeDefer may park the message again if
-    // its precondition still holds (e.g. a different object still locked).
-    const bool defer_again = MaybeDefer(m);
-    if (defer_again || Crashed()) continue;
-    reprocessing_ = true;
+  for (const net::Message& m : msgs) {
+    // Re-run the normal pipeline: the handler's own MaybeDefer parks the
+    // message again if its precondition still holds (e.g. a different
+    // object still locked). Every message the replay sends — an inline
+    // local request included — meets the same check afresh.
+    if (Crashed()) {
+      MaybeDefer(m);
+      continue;
+    }
     Dispatch(m);
-    reprocessing_ = false;
   }
 }
 
@@ -1366,28 +1368,10 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
       } else if (config_.read_retry && !pr.fallbacks.empty() &&
                  body.error != "wrong-vp") {
         // R2's optional retry at the next-nearest copy.
-        const uint64_t op_id = next_op_id_++;
         pr.target = pr.fallbacks.front();
         pr.fallbacks.erase(pr.fallbacks.begin());
-        pr.timeout_event = env_.executor->ScheduleAfter(
-            2 * config_.delta + config_.lock_timeout, [this, op_id]() {
-              auto it2 = pending_reads_.find(op_id);
-              if (it2 == pending_reads_.end()) return;
-              PendingRead pr2 = std::move(it2->second);
-              pending_reads_.erase(it2);
-              ++stats_.reads_failed;
-              InternalAbort(pr2.txn);
-              if (!Crashed()) CreateNewVp();
-              pr2.cb(Status::Timeout("no response from copy holder"));
-            });
         ++stats_.phys_reads_sent;
-        SendPhys(pr.target,
-                 msg::PhysRead{pr.txn, pr.obj, cur_id_, epoch_,
-                               /*recovery=*/false,
-                               /*for_update=*/false, op_id,
-                               rec->participants},
-                 nullptr, pr.trace, RetransmitToPath(pr.txn));
-        pending_reads_[op_id] = std::move(pr);
+        SendRead(next_op_id_++, std::move(pr), rec->participants);
       } else {
         ++stats_.reads_failed;
         rec->doomed = true;

@@ -256,6 +256,11 @@ class VpNode : public NodeBase {
   };
   std::map<uint64_t, PendingRead> pending_reads_;
   std::map<uint64_t, PendingWrite> pending_writes_;
+  /// Registers `pr` under `op_id`, sends its physical read to `pr.target`,
+  /// and arms the no-response timer if the read is still pending (a local
+  /// copy replies inline).
+  void SendRead(uint64_t op_id, PendingRead pr,
+                const std::set<ProcessorId>& footprint);
 
   // R5 recovery state, per object being initialized.
   struct PendingRecovery {
@@ -287,7 +292,6 @@ class VpNode : public NodeBase {
   // Messages parked by MaybeDefer, reprocessed on join / unlock /
   // max-id movement.
   std::vector<net::Message> deferred_;
-  bool reprocessing_ = false;
 
   // View-change span state (open from first departure/invitation until the
   // new view's copies finish initializing). Independent of whether the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 
 namespace vp::history {
@@ -90,8 +91,7 @@ CertifyResult CertifyOneCopySR(const std::vector<TxnHistory>& committed,
         const VpId& yv = key == Key::kFirstVp ? y.vp_first : y.vp;
         if (!(xv == yv)) return xv < yv;
       }
-      if (x.decided_at != y.decided_at) return x.decided_at < y.decided_at;
-      return x.id < y.id;
+      return DecidedBefore(x, y);
     });
     CertifyResult r = ReplaySerialOrder(committed, initial, order);
     if (r.ok) return r;
@@ -240,7 +240,7 @@ CertifyResult CertifyOneCopySRConflictOrder(
       BuildConflictEdges(physical_ops, committed_ids, decided_at);
 
   // Kahn's algorithm with a deterministic ready set: among transactions
-  // whose predecessors are all placed, the earliest (decided_at, id) goes
+  // whose predecessors are all placed, the earliest in decision order goes
   // first, so unconflicting transactions keep their commit order.
   std::map<TxnId, size_t> indegree;
   for (const TxnHistory& t : committed) indegree[t.id] = 0;
@@ -250,16 +250,17 @@ CertifyResult CertifyOneCopySRConflictOrder(
   }
   auto rank = [&](const TxnId& id) {
     const TxnHistory& t = committed[index_of[id]];
-    return std::pair<sim::SimTime, TxnId>(t.decided_at, id);
+    return std::tuple<sim::SimTime, uint64_t, TxnId>(t.decided_at,
+                                                     t.decide_seq, id);
   };
-  std::set<std::pair<sim::SimTime, TxnId>> ready;
+  std::set<std::tuple<sim::SimTime, uint64_t, TxnId>> ready;
   for (const auto& [id, deg] : indegree) {
     if (deg == 0) ready.insert(rank(id));
   }
   std::vector<size_t> order;
   order.reserve(committed.size());
   while (!ready.empty()) {
-    const TxnId id = ready.begin()->second;
+    const TxnId id = std::get<2>(*ready.begin());
     ready.erase(ready.begin());
     order.push_back(index_of[id]);
     for (const TxnId& to : edges[id]) {

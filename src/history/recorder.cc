@@ -60,6 +60,7 @@ void Recorder::TxnCommit(TxnId txn, sim::SimTime at) {
   h->decided = true;
   h->committed = true;
   h->decided_at = at;
+  h->decide_seq = decide_seq_++;
   ++committed_count_;
 }
 
@@ -71,6 +72,7 @@ void Recorder::TxnAbort(TxnId txn, sim::SimTime at) {
   h->decided = true;
   h->committed = false;
   h->decided_at = at;
+  h->decide_seq = decide_seq_++;
   ++aborted_count_;
 }
 

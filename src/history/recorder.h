@@ -54,9 +54,20 @@ struct TxnHistory {
   std::vector<LogicalOp> ops;
   sim::SimTime begin_at = 0;
   sim::SimTime decided_at = 0;
+  /// Global decision record order (like PhysOp::seq): orders transactions
+  /// decided in the same clock tick.
+  uint64_t decide_seq = 0;
   bool committed = false;
   bool decided = false;
 };
+
+/// Decision order: by decision time, same-time decisions in the order they
+/// were recorded, then by id (hand-built histories leave decide_seq 0).
+inline bool DecidedBefore(const TxnHistory& a, const TxnHistory& b) {
+  if (a.decided_at != b.decided_at) return a.decided_at < b.decided_at;
+  if (a.decide_seq != b.decide_seq) return a.decide_seq < b.decide_seq;
+  return a.id < b.id;
+}
 
 /// A recorded S1/S2/S3 violation (should never fire for the VP protocol).
 struct SafetyViolation {
@@ -169,6 +180,7 @@ class Recorder {
   uint64_t committed_count_ = 0;
   uint64_t aborted_count_ = 0;
   uint64_t join_count_ = 0;
+  uint64_t decide_seq_ = 0;
   std::vector<PhysOp> physical_ops_;
   std::vector<ViewEvent> view_events_;
 };

@@ -863,26 +863,25 @@ RunOutcome RunPlan(const FaultPlan& plan, const RunOptions& opts) {
   // recovery drain, every physical copy must hold the value of the LAST
   // committed writer of its object. "Last" is well defined because strict
   // 2PL lock-orders write-write conflicts, and the loser of the lock race
-  // decides strictly later — so (decided_at, id) order among an object's
-  // committed writers is the physical order. This catches losses no
-  // committed read witnesses (e.g. a no-WAL reboot discarding a committed
-  // but unapplied stage). VP protocol only: quorum-family protocols never
-  // refresh stale copies, so their copies may legitimately lag forever.
+  // decides strictly later (or, in the same tick, is recorded later) — so
+  // decision order among an object's committed writers is the physical
+  // order. This catches losses no committed read witnesses (e.g. a no-WAL
+  // reboot discarding a committed but unapplied stage). VP protocol only:
+  // quorum-family protocols never refresh stale copies, so their copies may
+  // legitimately lag forever.
   std::string state_witness;
   if (vp_protocol && converged && out.safety_ok && out.one_copy_sr) {
     std::map<ObjectId, Value> expected = cluster.initial_db();
-    std::map<ObjectId, std::pair<sim::SimTime, TxnId>> last_writer;
-    for (const history::TxnHistory& t : rec.Committed()) {
+    const std::vector<history::TxnHistory> committed = rec.Committed();
+    std::map<ObjectId, const history::TxnHistory*> last_writer;
+    for (const history::TxnHistory& t : committed) {
       for (const history::LogicalOp& op : t.ops) {
         if (op.kind != history::LogicalOp::Kind::kWrite) continue;
         auto it = last_writer.find(op.obj);
-        const bool newer =
-            it == last_writer.end() || t.decided_at > it->second.first ||
-            (t.decided_at == it->second.first && it->second.second < t.id);
         // Same-txn later writes overwrite earlier ones (ops are in order).
-        const bool same = it != last_writer.end() && it->second.second == t.id;
-        if (newer || same) {
-          last_writer[op.obj] = {t.decided_at, t.id};
+        if (it == last_writer.end() || it->second == &t ||
+            history::DecidedBefore(*it->second, t)) {
+          last_writer[op.obj] = &t;
           expected[op.obj] = op.value;
         }
       }

@@ -41,7 +41,6 @@ sim::Duration Network::Delta() const {
 sim::Duration Network::SampleDelay(ProcessorId src, ProcessorId dst,
                                    bool* slow) {
   *slow = false;
-  if (src == dst) return config_.local_delay;
   if (config_.slow_prob > 0 && rng_.Bernoulli(config_.slow_prob)) {
     *slow = true;
     return rng_.UniformInt(config_.slow_min_delay, config_.slow_max_delay);
@@ -55,13 +54,13 @@ sim::Duration Network::SampleDelay(ProcessorId src, ProcessorId dst,
 
 void Network::Send(Message msg) {
   VP_CHECK(msg.src < nodes_.size() && msg.dst < nodes_.size());
+  // Nodes deliver to themselves by direct call (NodeBase::SendPhys).
+  VP_CHECK_MSG(msg.src != msg.dst, "self-send through the network");
   msg.sent_at = scheduler_->Now();
   ++stats_.sent;
   ctr_sent_->Increment();
-  if (msg.src != msg.dst) {
-    ++stats_.sent_remote;
-    ctr_remote_->Increment();
-  }
+  ++stats_.sent_remote;
+  ctr_remote_->Increment();
   ++stats_.sent_by_type[msg.body.index()];
 
   // Route check at send time: the can-communicate relation of the moment.
@@ -69,7 +68,7 @@ void Network::Send(Message msg) {
     ++stats_.dropped_no_route;
     return;
   }
-  if (msg.src != msg.dst && config_.drop_prob > 0 &&
+  if (config_.drop_prob > 0 &&
       rng_.Bernoulli(config_.drop_prob)) {
     ++stats_.dropped_fault;
     return;
@@ -77,14 +76,14 @@ void Network::Send(Message msg) {
   bool slow = false;
   sim::Duration delay = SampleDelay(msg.src, msg.dst, &slow);
   if (slow) ++stats_.slow;
-  if (msg.src != msg.dst && config_.reorder_prob > 0 &&
+  if (config_.reorder_prob > 0 &&
       rng_.Bernoulli(config_.reorder_prob)) {
     // Adversarial hold-back: later sends on this edge overtake this one.
     delay += rng_.UniformInt(config_.reorder_min_extra,
                              config_.reorder_max_extra);
     ++stats_.reordered;
   }
-  if (msg.src != msg.dst && config_.dup_prob > 0 &&
+  if (config_.dup_prob > 0 &&
       rng_.Bernoulli(config_.dup_prob)) {
     bool dup_slow = false;
     const sim::Duration dup_delay = SampleDelay(msg.src, msg.dst, &dup_slow);
@@ -99,8 +98,7 @@ void Network::ScheduleDelivery(Message msg, sim::Duration delay) {
     // Deliveries to processors that crashed in flight are lost; a link
     // direction that went down in flight also loses the message (omission
     // semantics).
-    if (!graph_->Alive(m.dst) ||
-        (m.src != m.dst && !graph_->EdgeUp(m.src, m.dst))) {
+    if (!graph_->Alive(m.dst) || !graph_->EdgeUp(m.src, m.dst)) {
       ++stats_.dropped_dead_receiver;
       return;
     }

@@ -41,11 +41,10 @@ class NodeInterface {
 /// Tunable delay/fault parameters.
 struct NetworkConfig {
   /// Normal per-hop delay range, scaled by the edge cost:
-  /// delay ~ U[min_delay, max_delay] * cost(src, dst). Local messages
-  /// (src == dst) are delivered after `local_delay`.
+  /// delay ~ U[min_delay, max_delay] * cost(src, dst). There are no
+  /// local messages: a node serves its own copies by direct call.
   sim::Duration min_delay = sim::Millis(1);
   sim::Duration max_delay = sim::Millis(5);
-  sim::Duration local_delay = sim::Micros(10);
 
   /// Probability a message is silently lost (omission failure).
   double drop_prob = 0.0;
@@ -71,7 +70,8 @@ struct NetworkConfig {
 /// Traffic counters.
 struct NetworkStats {
   uint64_t sent = 0;
-  /// Sends with src != dst (actual network traffic; cost metrics use this).
+  /// Sends between distinct processors. Equal to `sent`, since nodes
+  /// never send to themselves; cost metrics read this one.
   uint64_t sent_remote = 0;
   uint64_t delivered = 0;
   uint64_t dropped_fault = 0;       // Random omission.

@@ -61,22 +61,11 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
   pr.txn = txn;
   pr.obj = obj;
   pr.cb = std::move(cb);
-  pr.timeout_event = env_.executor->ScheduleAfter(
-      config_.op_timeout + config_.lock_timeout, [this, op_id]() {
-        auto it = pending_reads_.find(op_id);
-        if (it == pending_reads_.end()) return;
-        PendingRead done = std::move(it->second);
-        pending_reads_.erase(it);
-        ++stats_.reads_failed;
-        if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-          r->path.OpCompleted(env_.clock->Now(), 0);
-        }
-        InternalAbort(done.txn);
-        done.cb(Status::Timeout("copy holder unresponsive"));
-      });
   rec->participants.insert(target);
   ++stats_.phys_reads_sent;
   rec->path.OpIssued(env_.clock->Now());
+  // Registered before the send: a local copy replies inline.
+  pending_reads_[op_id] = std::move(pr);
   SendPhys(target,
            PhysRead{txn, obj, kEpochDate, /*epoch=*/0, /*recovery=*/false,
                     /*for_update=*/false, op_id, {}},
@@ -84,7 +73,21 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
              OnDeliveryTimeout(op_id, target, /*write_phase=*/false);
            },
            /*trace=*/0, RetransmitToPath(txn));
-  pending_reads_[op_id] = std::move(pr);
+  auto it = pending_reads_.find(op_id);
+  if (it == pending_reads_.end()) return;  // Served inline.
+  it->second.timeout_event = env_.executor->ScheduleAfter(
+      config_.op_timeout + config_.lock_timeout, [this, op_id]() {
+        auto it2 = pending_reads_.find(op_id);
+        if (it2 == pending_reads_.end()) return;
+        PendingRead done = std::move(it2->second);
+        pending_reads_.erase(it2);
+        ++stats_.reads_failed;
+        if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
+          r->path.OpCompleted(env_.clock->Now(), 0);
+        }
+        InternalAbort(done.txn);
+        done.cb(Status::Timeout("copy holder unresponsive"));
+      });
 }
 
 void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
@@ -131,8 +134,11 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   const std::set<ProcessorId> targets = pw.awaiting;
   pending_writes_[op_id] = std::move(pw);
   rec->path.OpIssued(env_.clock->Now());
+  // All targets join before any send: a local copy replies inline, and
+  // the client code that reply runs may begin transactions (`rec` is not
+  // used past this point).
+  for (ProcessorId q : targets) rec->participants.insert(q);
   for (ProcessorId q : targets) {
-    rec->participants.insert(q);
     ++stats_.phys_writes_sent;
     SendPhys(q,
              PhysWrite{txn, obj, value, date, /*epoch=*/0, op_id, {}},
@@ -140,6 +146,8 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
              },
              /*trace=*/0, RetransmitToPath(txn));
+    // A local nack fails the write inline; the rest need not be sent.
+    if (pending_writes_.count(op_id) == 0) return;
   }
 }
 

@@ -100,15 +100,15 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
   pr.cb = std::move(cb);
   pr.votes_needed = needed;
   pr.outstanding.insert(targets.begin(), targets.end());
-  pr.timeout_event = env_.executor->ScheduleAfter(
-      config_.op_timeout + config_.lock_timeout,
-      [this, op_id]() { FailRead(op_id, Status::Timeout("read quorum")); });
-  PendingRead& live = pending_reads_[op_id] = std::move(pr);
+  pending_reads_[op_id] = std::move(pr);
   rec->path.OpIssued(env_.clock->Now());
+  // Targets are cheapest first, so the local copy (if any) is polled first
+  // and replies inline; every send re-finds the op, which stops polling as
+  // soon as the quorum is met or lost.
   for (ProcessorId q : targets) {
-    rec->participants.insert(q);
+    if (TxnRec* r = FindTxn(txn); r != nullptr) r->participants.insert(q);
     ++stats_.phys_reads_sent;
-    live.rel_ids[q] =
+    const uint64_t rel_id =
         SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
                           /*recovery=*/false,
@@ -117,7 +117,13 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/false);
                  },
                  /*trace=*/0, RetransmitToPath(txn));
+    auto live = pending_reads_.find(op_id);
+    if (live == pending_reads_.end()) return;
+    live->second.rel_ids[q] = rel_id;
   }
+  pending_reads_[op_id].timeout_event = env_.executor->ScheduleAfter(
+      config_.op_timeout + config_.lock_timeout,
+      [this, op_id]() { FailRead(op_id, Status::Timeout("read quorum")); });
 }
 
 void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
@@ -148,19 +154,17 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   pw.cb = std::move(cb);
   pw.votes_needed = needed;
   pw.outstanding.insert(targets.begin(), targets.end());
-  pw.timeout_event = env_.executor->ScheduleAfter(
-      config_.op_timeout + config_.lock_timeout, [this, op_id]() {
-        FailWrite(op_id, Status::Timeout("write version poll"));
-      });
-  PendingWrite& live = pending_writes_[op_id] = std::move(pw);
+  pending_writes_[op_id] = std::move(pw);
   // One attribution window spans both phases: the version poll and the
   // write are a single logical operation from the transaction's view.
   rec->path.OpIssued(env_.clock->Now());
-  // Phase 1: version poll under exclusive locks.
+  // Phase 1: version poll under exclusive locks. As in LogicalRead, each
+  // send re-finds the op: an inline local reply can meet the poll quorum
+  // (moving the op to phase 2) or fail it.
   for (ProcessorId q : targets) {
-    rec->participants.insert(q);
+    if (TxnRec* r = FindTxn(txn); r != nullptr) r->participants.insert(q);
     ++stats_.phys_reads_sent;
-    live.rel_ids[q] =
+    const uint64_t rel_id =
         SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
                           /*recovery=*/false,
@@ -170,7 +174,14 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/false);
                  },
                  /*trace=*/0, RetransmitToPath(txn));
+    auto live = pending_writes_.find(op_id);
+    if (live == pending_writes_.end() || !live->second.polling) return;
+    live->second.rel_ids[q] = rel_id;
   }
+  pending_writes_[op_id].timeout_event = env_.executor->ScheduleAfter(
+      config_.op_timeout + config_.lock_timeout, [this, op_id]() {
+        FailWrite(op_id, Status::Timeout("write version poll"));
+      });
 }
 
 void QuorumNode::Retire() {
@@ -260,10 +271,11 @@ void QuorumNode::StartWritePhase2(uint64_t op_id) {
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
                  },
                  /*trace=*/0, RetransmitToPath(txn));
-    // Re-find: SendPhys itself never mutates pending_writes_, but keeping
-    // the lookup inside the loop guards against future re-entrancy.
+    // Re-find: a local copy replies inline, and its reply can complete or
+    // fail the write.
     auto live = pending_writes_.find(op_id);
-    if (live != pending_writes_.end()) live->second.rel_ids[q] = rel_id;
+    if (live == pending_writes_.end()) return;
+    live->second.rel_ids[q] = rel_id;
   }
 }
 

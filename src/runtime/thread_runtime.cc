@@ -123,6 +123,8 @@ class ThreadRuntime::ThreadTransport final : public Transport {
 
   void Send(net::Message msg) override {
     VP_CHECK_MSG(msg.src < n_ && msg.dst < n_, "Send: bad endpoint");
+    // Nodes deliver to themselves by direct call (NodeBase::SendPhys).
+    VP_CHECK_MSG(msg.src != msg.dst, "Send: self-send through a transport");
     msg.sent_at = rt_->NowUs();
     if (!Alive(msg.src) || !Alive(msg.dst)) {
       // Not a send that happened: count the drop, not the message, so
@@ -132,7 +134,7 @@ class ThreadRuntime::ThreadTransport final : public Transport {
       return;
     }
     rt_->ctr_msgs_sent_->Increment();
-    if (msg.src != msg.dst) rt_->ctr_msgs_remote_->Increment();
+    rt_->ctr_msgs_remote_->Increment();
     const ProcessorId dst = msg.dst;
     const size_t link = size_t{msg.src} * n_ + dst;
     {

@@ -164,10 +164,13 @@ void StableStore::TearTailOnCrash(bool drop) {
   if (mode_ == DurabilityMode::kNoWal) return;  // Nothing on the device.
   const auto& frames = wal_.frames();
   if (frames.empty() ||
-      frames.back().rec.type == WalRecord::Type::kDecision) {
+      frames.back().rec.type != WalRecord::Type::kOutcome) {
     // An empty log, or a tail whose completed fsync was already
-    // externalized as the commit announcement: the torn write must have
-    // been a later, never-observed persist. Model it as a phantom frame.
+    // externalized — a decision as the commit announcement, a prepare as
+    // the participant's ack, on which the coordinator may commit: the torn
+    // write must have been a later, never-observed persist. Model it as a
+    // phantom frame. (An outcome tail may tear: its prepare replays in
+    // doubt and the coordinator resolves it again.)
     wal_.AppendTornPhantom();
     return;
   }

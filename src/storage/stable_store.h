@@ -203,10 +203,10 @@ class StableStore {
   void CorruptCopyImage(ObjectId obj);
   void TearCopyImage(ObjectId obj);
   /// Crash tearing of the persist in flight: the newest WAL frame is
-  /// dropped (`drop`) or half-written. A torn in-flight *decision* cannot
-  /// be modeled retroactively — completing that fsync is what announced the
-  /// commit — so that case (and an empty log) tears a phantom in-flight
-  /// frame instead.
+  /// dropped (`drop`) or half-written. A torn in-flight *decision* or
+  /// *prepare* cannot be modeled retroactively — completing that fsync is
+  /// what announced the commit, or acked the write to its coordinator — so
+  /// those cases (and an empty log) tear a phantom in-flight frame instead.
   void TearTailOnCrash(bool drop);
 
   /// Called by the harness when rebuilding the node after an amnesia crash.

@@ -2,12 +2,13 @@
 // recovery, and the deliberately broken no-WAL strawman.
 //
 // The deterministic centerpiece is the in-doubt commit scenario: a
-// coordinator decides commit (the client is acked), a partition swallows
-// the outcome broadcast, and the coordinator amnesia-crashes before even
-// its own copy applies the write. With a WAL the decision record survives
-// and reboot replay + presumed-abort queries resolve every stage to
-// commit; without one the rebooted coordinator presumes abort and a
-// committed write vanishes from every copy.
+// coordinator that holds no copy of the object decides commit (the client
+// is acked), a partition swallows the outcome broadcast, and the
+// coordinator amnesia-crashes, so no copy ever applied the write. With a
+// WAL the decision record survives and reboot replay + presumed-abort
+// queries resolve every stage to commit; without one the rebooted
+// coordinator presumes abort and a committed write vanishes from every
+// copy.
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ using harness::Protocol;
 using storage::DurabilityMode;
 
 /// Runs the in-doubt coordinator-crash scenario under `mode` and returns
-/// the final value of object 0 at every processor.
+/// the final value of object 0 at every copy (p1 and p2).
 struct CoordinatorCrashResult {
   Status commit_status;
   std::vector<Value> copies;
@@ -43,6 +44,11 @@ CoordinatorCrashResult RunCoordinatorCrashScenario(DurabilityMode mode) {
   config.seed = 11;
   config.protocol = Protocol::kVirtualPartition;
   config.durability = mode;
+  // The coordinator p0 holds no copy: a coordinator's own copy applies the
+  // outcome inline at the decision, before any crash could intervene.
+  config.placement.AddCopy(0, 1);
+  config.placement.AddCopy(0, 2);
+  config.has_custom_placement = true;
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(2));
 
@@ -55,9 +61,8 @@ CoordinatorCrashResult RunCoordinatorCrashScenario(DurabilityMode mode) {
   EXPECT_TRUE(write_ok);
 
   // The partition swallows the outcome broadcast to p1/p2 (dropped at send
-  // time), and the amnesia crash fires before the coordinator's own
-  // outcome self-delivery (scheduled local_delay later), so NO copy ever
-  // applies the committed write before the crash.
+  // time), and the amnesia crash fires right after the decision, so NO
+  // copy ever applies the committed write before the crash.
   cluster.graph().Partition({{0}, {1, 2}});
   CoordinatorCrashResult result;
   node.Commit(txn, [&](Status s) { result.commit_status = s; });
@@ -68,7 +73,7 @@ CoordinatorCrashResult RunCoordinatorCrashScenario(DurabilityMode mode) {
   cluster.graph().Heal();
   cluster.RunFor(sim::Seconds(4));
 
-  for (ProcessorId p = 0; p < 3; ++p) {
+  for (ProcessorId p : {1, 2}) {
     result.copies.push_back(cluster.store(p).Read(0).value().value);
   }
   result.replayed = cluster.stable(0).stats().wal_replay_records;
@@ -81,9 +86,8 @@ TEST(Amnesia, WalRebootResolvesInDoubtCommit) {
   CoordinatorCrashResult r = RunCoordinatorCrashScenario(DurabilityMode::kWal);
   ASSERT_TRUE(r.commit_status.ok()) << r.commit_status.ToString();
   EXPECT_EQ(r.incarnation, 1u);
-  // Exactly the prepare of the coordinator's own stage plus the commit
-  // decision record.
-  EXPECT_EQ(r.replayed, 2u);
+  // Exactly the commit decision record: the coordinator staged nothing.
+  EXPECT_EQ(r.replayed, 1u);
   for (const Value& v : r.copies) {
     EXPECT_EQ(v, "X") << "committed write must survive the amnesia reboot";
   }

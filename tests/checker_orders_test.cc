@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "history/checker.h"
+#include "history/recorder.h"
 
 namespace vp::history {
 namespace {
@@ -96,6 +97,27 @@ TEST(CertifierOrders, GenuineViolationFailsAllCandidates) {
   EXPECT_FALSE(result.ok);
   auto any = CertifyOneCopySRAnyOrder({t1, t2}, {{0, "init"}, {1, "init"}});
   EXPECT_FALSE(any.ok);
+}
+
+TEST(CertifierOrders, SameTickDecisionsKeepRecordOrder) {
+  // A writer's outcome releases its lock and grants a queued reader on the
+  // same node in the same clock tick; the reader then decides in that tick
+  // too. Its id is LOWER than the writer's, so an id tie-break would order
+  // the reader first and replay its read of "x" against the initial value.
+  // The recorded decision order is the real one.
+  Recorder rec;
+  const TxnId writer{1, 5};
+  const TxnId reader{0, 1};
+  rec.TxnBegin(writer, 1, /*at=*/10);
+  rec.TxnBegin(reader, 0, /*at=*/12);
+  rec.TxnWrite(writer, 0, "x", /*at=*/15);
+  rec.TxnCommit(writer, /*at=*/20);
+  rec.TxnRead(reader, 0, "x", kEpochDate, /*at=*/20);
+  rec.TxnCommit(reader, /*at=*/20);
+  const CertifyResult result = CertifyOneCopySR(rec.Committed(), {{0, "0"}});
+  ASSERT_TRUE(result.ok) << result.detail;
+  ASSERT_EQ(result.serial_order.size(), 2u);
+  EXPECT_EQ(result.serial_order[0], writer);
 }
 
 }  // namespace

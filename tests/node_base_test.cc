@@ -279,6 +279,27 @@ TEST(NodeBase, LateDuplicateAfterAmnesiaRebootDoesNotReplaceNewerStage) {
   }
 }
 
+TEST(VpWrite, FootprintCoversTheWritesOwnCopies) {
+  // §6 condition (2) checks a write's footprint against each server's view.
+  // A first operation has no earlier participants, so unless the footprint
+  // carries the write's own copies it is empty and passes trivially at a
+  // server whose newer view excludes them.
+  Cluster cluster(Cfg(9));
+  cluster.RunFor(sim::Seconds(1));
+  PhysWriteTap tap(&cluster, 2);
+  core::NodeBase& node = cluster.node(0);
+  const TxnId txn = node.NewTxnId();
+  node.Begin(txn);
+  node.LogicalWrite(txn, 0, "first", [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(100));
+  const net::Message* m = tap.Find("first");
+  ASSERT_NE(m, nullptr);
+  const auto& footprint = std::get<core::msg::PhysWrite>(m->body).footprint;
+  for (ProcessorId q : cluster.placement().CopyHolders(0)) {
+    EXPECT_EQ(footprint.count(q), 1u) << "target p" << q;
+  }
+}
+
 TEST(NodeBase, TxnIdsAreUniquePerNode) {
   Cluster cluster(Cfg(8));
   auto& a = cluster.node(0);

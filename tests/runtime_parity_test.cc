@@ -15,8 +15,15 @@
 // default recovery became the §6 same-previous skip (kPreviousSkip): a view
 // whose members all come from one previous partition no longer reads its
 // non-dirty copies, so those recovery messages left the trace. Every
-// re-captured run was violation-free. The quorum and majority-voting
-// digests were not touched and still match the direct-wiring capture.
+// re-captured run was violation-free.
+//
+// All 33 digests were re-captured when nodes began serving their own copies
+// by direct call (NodeBase::SendPhys) instead of a 10 µs loopback hop
+// through the network: every local physical operation, reply and 2PC
+// outcome now completes in the tick that issued it, with no delivery or
+// timer event, so every trace's timing moved — the quorum and
+// majority-voting ones too, since their cheapest copy is the local one.
+// Every re-captured run was violation-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -59,14 +66,14 @@ struct Golden {
 TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
   using harness::Protocol;
   const Golden kGolden[] = {
-      {3, Protocol::kVirtualPartition, false, false, 0xe148ccefece14469ULL},
-      {3, Protocol::kVirtualPartition, true, true, 0x6b6bae256df486d0ULL},
-      {3, Protocol::kQuorum, true, true, 0x560e43276e93835fULL},
-      {3, Protocol::kMajorityVoting, true, true, 0x560e43276e93835fULL},
-      {438, Protocol::kVirtualPartition, false, false, 0xea471f4e2b5c5442ULL},
-      {438, Protocol::kVirtualPartition, true, true, 0xb565b8f73e6ce720ULL},
-      {438, Protocol::kQuorum, true, true, 0xe8d3308c6e26ce8cULL},
-      {438, Protocol::kMajorityVoting, true, true, 0xe8d3308c6e26ce8cULL},
+      {3, Protocol::kVirtualPartition, false, false, 0xfaafdeeeaed8e639ULL},
+      {3, Protocol::kVirtualPartition, true, true, 0x88ce35ada40d9555ULL},
+      {3, Protocol::kQuorum, true, true, 0x6a672ee907a2640cULL},
+      {3, Protocol::kMajorityVoting, true, true, 0x6a672ee907a2640cULL},
+      {438, Protocol::kVirtualPartition, false, false, 0xb1acd7a524aadca8ULL},
+      {438, Protocol::kVirtualPartition, true, true, 0x2642235c5d7eb23aULL},
+      {438, Protocol::kQuorum, true, true, 0x25661e50d400a7abULL},
+      {438, Protocol::kMajorityVoting, true, true, 0x25661e50d400a7abULL},
   };
   for (const Golden& g : kGolden) {
     EXPECT_EQ(DigestFor(g.seed, g.proto, g.harsh, g.reliable), g.digest)
@@ -78,15 +85,15 @@ TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
 
 TEST(RuntimeParity, SmokeSweepMatchesGoldenDigests) {
   const uint64_t kSmoke[25] = {
-      0x720d7d596d7f32eaULL, 0xd7ad301d55bd710fULL, 0x2a8b9c9b76322825ULL,
-      0xe148ccefece14469ULL, 0xab5b3617de494f87ULL, 0x027db90d1a866bbbULL,
-      0x83f4893d570aa9baULL, 0x7e64a48c2a15a84cULL, 0x2edf1ef4ba40aeb3ULL,
-      0x6e65595339b94f83ULL, 0xec6b68fd11b85febULL, 0xe6f1502d7b054bdaULL,
-      0xa517de9c10e566f3ULL, 0xd3640bdb9870a343ULL, 0x840c3be67fb900a5ULL,
-      0x3a20810c163cc2b3ULL, 0xe6970650e8f026e5ULL, 0x5678661075db7a95ULL,
-      0x64d6e729e15d839fULL, 0x762bef5ae4cdf6e6ULL, 0x962ffd0292ba8f02ULL,
-      0x81595065f30371efULL, 0xf305bc57f47b016bULL, 0xabcecbbd650fb06eULL,
-      0xf561f75b89e95faaULL,
+      0x619e90e0aad8cb43ULL, 0xbae29fb593e9e287ULL, 0x2ce84cebe0170527ULL,
+      0xfaafdeeeaed8e639ULL, 0xe1a27b2eaa85c90aULL, 0x19efb36d76b5e819ULL,
+      0x1ec30659e96cfa0cULL, 0xf6261fb69e4d75c9ULL, 0x875da53bc53247a0ULL,
+      0x84914f3bb6bee1faULL, 0xb8c68a3225744a13ULL, 0xc42457f87d8e1764ULL,
+      0x194ab5c97cd85914ULL, 0xbfe748c3ca625d5aULL, 0x304d3f1618e04ea4ULL,
+      0x28711ba3991110a3ULL, 0x960ca820be8c7ee0ULL, 0xe7b5f4f9c741c2d4ULL,
+      0x7ea7ea005f048ee2ULL, 0x3b364056b10f9cf0ULL, 0x485df3b7a58d4460ULL,
+      0x9d8c48f4b13f5845ULL, 0x58974b8b9272c38bULL, 0xcd445347501ff4d8ULL,
+      0x1c31428d5ea23337ULL,
   };
   for (uint64_t seed = 0; seed < 25; ++seed) {
     EXPECT_EQ(DigestFor(seed, harness::Protocol::kVirtualPartition,

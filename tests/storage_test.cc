@@ -432,7 +432,7 @@ TEST(StableStore, NoChecksumServesRotVerbatim) {
 TEST(StableStore, BeginReplaySalvagesTornTail) {
   StableStore dev(DurabilityMode::kWal);
   dev.AppendWal(MakePrepare(1));
-  dev.AppendWal(MakePrepare(2));
+  dev.AppendWal(MakeOutcome(1, /*committed=*/true));
   dev.TearTailOnCrash(/*drop=*/false);
   dev.BeginReplay();
   EXPECT_TRUE(dev.replaying());
@@ -472,11 +472,30 @@ TEST(StableStore, TearTailOnCrashAfterDecisionIsAPhantom) {
   dev.EndReplay();
 }
 
+TEST(StableStore, TearTailOnCrashAfterPrepareIsAPhantom) {
+  StableStore dev(DurabilityMode::kWal);
+  dev.AppendWal(MakeDecision(1));
+  dev.AppendWal(MakePrepare(2));
+  // The prepare's fsync completed before the participant acked the write;
+  // the coordinator may have committed on that ack. Tearing it would
+  // silently drop a committed write from this copy, and when the write
+  // carries the same date as the value before it (two writes in one vp),
+  // no max-date recovery can notice the loss.
+  dev.TearTailOnCrash(/*drop=*/true);
+  ASSERT_EQ(dev.wal().frames().size(), 3u);
+  EXPECT_TRUE(dev.wal().frames()[2].torn);
+  dev.BeginReplay();
+  ASSERT_EQ(dev.wal().frames().size(), 2u);
+  EXPECT_EQ(dev.wal().frames()[1].rec.type, WalRecord::Type::kPrepare);
+  EXPECT_EQ(dev.stats().torn_truncated, 1u);
+  dev.EndReplay();
+}
+
 TEST(StableStore, DoubleCrashDuringReplayRestartsSalvageCleanly) {
   StableStore dev(DurabilityMode::kWal);
   dev.AppendWal(MakePrepare(1));
   dev.AppendWal(MakeDecision(1));
-  dev.AppendWal(MakePrepare(2));
+  dev.AppendWal(MakeOutcome(2, /*committed=*/false));
   dev.TearTailOnCrash(/*drop=*/false);
   dev.BeginIncarnation();
   dev.BeginReplay();

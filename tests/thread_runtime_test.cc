@@ -460,6 +460,31 @@ TEST(ThreadProtocols, RowaConcurrentTxnsAre1SR) {
   RunConcurrentWorkload(harness::Protocol::kRowa);
 }
 
+TEST(ThreadProtocols, LocalCopiesAreServedWithoutTheTransport) {
+  // A single processor holds every copy: all its physical operations and
+  // 2PC outcomes are local, so they run by direct call on its strand and
+  // the transport never carries a message.
+  using TC = harness::ThreadCluster;
+  harness::ThreadClusterConfig cfg;
+  cfg.n_processors = 1;
+  cfg.n_objects = 2;
+  TC cluster(cfg);
+  for (int i = 0; i < 20; ++i) {
+    TC::TxnResult r = cluster.RunTxn(
+        0, {TC::Increment(0), TC::Read(1), TC::Write(1, std::to_string(i))});
+    ASSERT_TRUE(r.committed) << r.failure.ToString();
+  }
+  TC::TxnResult readback = cluster.RunTxn(0, {TC::Read(0), TC::Read(1)});
+  ASSERT_TRUE(readback.committed) << readback.failure.ToString();
+  EXPECT_EQ(readback.reads, (std::vector<Value>{"20", "19"}));
+  cluster.Stop();
+  const obs::MetricsSnapshot snap = cluster.metrics().Snapshot();
+  EXPECT_EQ(snap.CounterValue("net.msgs_sent"), 0u);
+  EXPECT_EQ(snap.CounterValue("node.phys_reads_served"), 42u);
+  EXPECT_EQ(snap.CounterValue("node.phys_writes_served"), 40u);
+  EXPECT_TRUE(cluster.Certify().ok);
+}
+
 TEST(ThreadProtocols, ReconfigCommitsUnderConcurrentTraffic) {
   // Online reconfiguration on real threads: client threads hammer the
   // cluster while the main thread proposes an epoch advance. TSan watches
