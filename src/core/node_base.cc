@@ -23,6 +23,9 @@ NodeBase::NodeBase(ProcessorId id, NodeEnv env,
   ctr_phys_reads_served_ = metrics_->counter("node.phys_reads_served");
   ctr_phys_writes_served_ = metrics_->counter("node.phys_writes_served");
   ctr_phys_nacks_ = metrics_->counter("node.phys_nacks");
+  ctr_acks_piggybacked_ = metrics_->counter("node.outcome_acks_piggybacked");
+  ctr_ack_flushes_ = metrics_->counter("node.outcome_ack_flushes");
+  owed_acks_.resize(env_.transport->size());
   hist_txn_us_ = metrics_->histogram("txn.duration_us");
   hist_outcome_ack_us_ = metrics_->histogram("txn.outcome_ack_us");
   if (env_.stable != nullptr) {
@@ -42,6 +45,7 @@ NodeBase::NodeBase(ProcessorId id, NodeEnv env,
     rel_ = std::make_unique<net::ReliableChannel>(
         env_.clock, env_.executor, env_.transport, id_, inc, env_.reliable,
         metrics_, tracer_, fdr_);
+    rel_->set_stamp([this](net::Message& m) { CarryOwedAcks(m); });
   }
 }
 
@@ -207,10 +211,12 @@ void NodeBase::Commit(TxnId txn, CommitCallback cb) {
 void NodeBase::Decide(TxnId txn, TxnRec* rec, bool committed) {
   rec->st = committed ? cc::TxnOutcome::kCommitted : cc::TxnOutcome::kAborted;
   decisions_.Decide(txn, committed);
-  if (committed && env_.stable != nullptr) {
+  if (committed && rec->wrote && env_.stable != nullptr) {
     // Commit decisions must survive a coordinator crash: participants in
     // doubt will query us, and presumed-abort turns a forgotten commit
-    // into a lost write. Aborts need no record.
+    // into a lost write. Aborts need no record, and neither does a
+    // read-only commit: no participant holds a prepare for it, so none can
+    // be in doubt, and presumed abort merely releases its read locks.
     const runtime::TimePoint fsync_start = env_.clock->Now();
     env_.stable->AppendWal(storage::WalRecord{
         storage::WalRecord::Type::kDecision, txn, rec->epoch});
@@ -255,10 +261,10 @@ void NodeBase::Decide(TxnId txn, TxnRec* rec, bool committed) {
                         "txn", {{"participants",
                                  std::to_string(rec->participants.size())}});
   }
-  BroadcastOutcome(txn);
+  BroadcastOutcome(txn, /*retry=*/false);
 }
 
-void NodeBase::BroadcastOutcome(TxnId txn) {
+void NodeBase::BroadcastOutcome(TxnId txn, bool retry) {
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr || rec->outcome_unacked.empty()) return;
   const bool committed = rec->st == cc::TxnOutcome::kCommitted;
@@ -268,8 +274,12 @@ void NodeBase::BroadcastOutcome(TxnId txn) {
   // client code that begins transactions (so `rec` is re-found below).
   const std::set<ProcessorId> unacked = rec->outcome_unacked;
   for (ProcessorId p : unacked) {
-    SendPhys(p, msg::TxnOutcomeMsg{txn, committed}, /*on_timeout=*/nullptr,
-             trace);
+    if (retry && p != id_) {
+      Send(p, msg::TxnOutcomeMsg{txn, committed}, trace);
+    } else {
+      SendPhys(p, msg::TxnOutcomeMsg{txn, committed}, /*on_timeout=*/nullptr,
+               trace);
+    }
   }
   rec = FindTxn(txn);
   if (rec != nullptr && !rec->outcome_unacked.empty()) {
@@ -295,7 +305,7 @@ void NodeBase::ScheduleOutcomeRetry(TxnId txn) {
           ScheduleOutcomeRetry(txn);
           return;
         }
-        if (!r->outcome_unacked.empty()) BroadcastOutcome(txn);
+        if (!r->outcome_unacked.empty()) BroadcastOutcome(txn, /*retry=*/true);
       });
 }
 
@@ -550,15 +560,74 @@ void NodeBase::ApplyOutcomeLocally(TxnId txn, bool committed) {
 
 void NodeBase::HandleTxnOutcome(const net::Message& m,
                                 const msg::TxnOutcomeMsg& body) {
+  if (m.src == id_) {
+    ApplyOutcomeLocally(body.txn, body.committed);
+    HandleTxnOutcomeAck(body.txn, id_);
+    return;
+  }
+  // Owed before the outcome applies, so that the replies its lock release
+  // unblocks (typically the coordinator's next write) already carry it.
+  OweOutcomeAck(m.src, body.txn);
   ApplyOutcomeLocally(body.txn, body.committed);
-  SendPhys(m.src, msg::TxnOutcomeAck{body.txn, id_}, nullptr, m.trace);
 }
 
-void NodeBase::HandleTxnOutcomeAck(const msg::TxnOutcomeAck& body) {
-  TxnRec* rec = FindTxn(body.txn);
+// The ack only lets the coordinator stop retrying the outcome, so it need
+// not travel at once: it waits for the next message to the coordinator (a
+// reply to its next physical operation, usually) and goes alone only if
+// none comes within AckFlushDelay(). A lost carrier, or a crash while
+// acks are owed, costs one outcome retry, which the participant acks again.
+void NodeBase::OweOutcomeAck(ProcessorId coordinator, TxnId txn) {
+  OwedAcks& owed = owed_acks_[coordinator];
+  if (owed.txns.empty()) owed.since = env_.clock->Now();
+  owed.txns.push_back(txn);
+  if (!owed.flush_armed) ArmAckFlush(coordinator, AckFlushDelay());
+}
+
+void NodeBase::CarryOwedAcks(net::Message& m) {
+  OwedAcks& owed = owed_acks_[m.dst];
+  if (owed.txns.empty()) return;
+  if (!std::holds_alternative<msg::TxnOutcomeAck>(m.body)) {
+    ctr_acks_piggybacked_->Add(owed.txns.size());
+  }
+  m.outcome_acks.insert(m.outcome_acks.end(), owed.txns.begin(),
+                        owed.txns.end());
+  owed.txns.clear();
+}
+
+void NodeBase::ArmAckFlush(ProcessorId coordinator, runtime::Duration delay) {
+  owed_acks_[coordinator].flush_armed = true;
+  env_.executor->ScheduleAfter(
+      delay, [this, coordinator]() { OnAckFlush(coordinator); });
+}
+
+void NodeBase::OnAckFlush(ProcessorId coordinator) {
+  if (retired_) return;
+  OwedAcks& owed = owed_acks_[coordinator];
+  owed.flush_armed = false;
+  if (owed.txns.empty()) return;
+  if (Crashed()) {
+    // Lost with the crash, like an ack in flight: the outcome retry asks
+    // again after recovery.
+    owed.txns.clear();
+    return;
+  }
+  // One timer per link: acks owed after it was armed wait out their own
+  // delay on a re-arm rather than arming timers of their own.
+  const runtime::TimePoint due = owed.since + AckFlushDelay();
+  const runtime::TimePoint now = env_.clock->Now();
+  if (now < due) {
+    ArmAckFlush(coordinator, due - now);
+    return;
+  }
+  ctr_ack_flushes_->Increment();
+  Send(coordinator, msg::TxnOutcomeAck{});
+}
+
+void NodeBase::HandleTxnOutcomeAck(TxnId txn, ProcessorId from) {
+  TxnRec* rec = FindTxn(txn);
   if (rec == nullptr) return;
   const bool had_unacked = !rec->outcome_unacked.empty();
-  rec->outcome_unacked.erase(body.from);
+  rec->outcome_unacked.erase(from);
   if (rec->outcome_unacked.empty() && had_unacked) {
     const runtime::TimePoint now = env_.clock->Now();
     hist_outcome_ack_us_->Observe(
@@ -633,6 +702,10 @@ void NodeBase::ScheduleInDoubtSweep() {
 
 void NodeBase::HandleMessage(const net::Message& m) {
   if (Crashed()) return;  // Defensive; the network already drops these.
+  // Piggybacked outcome acks settle on receipt, whatever carries them: a
+  // RelAck or a duplicate the channel consumes below, or a request that
+  // MaybeDefer parks.
+  for (const TxnId& txn : m.outcome_acks) HandleTxnOutcomeAck(txn, m.src);
   if (rel_ != nullptr &&
       rel_->HandleMessage(
           m, [this](const net::Message& inner) { Dispatch(inner); })) {
@@ -662,8 +735,8 @@ void NodeBase::Dispatch(const net::Message& m) {
     HandleLogQuery(m, *q);
   } else if (const auto* o = std::get_if<msg::TxnOutcomeMsg>(&b)) {
     HandleTxnOutcome(m, *o);
-  } else if (const auto* ack = std::get_if<msg::TxnOutcomeAck>(&b)) {
-    HandleTxnOutcomeAck(*ack);
+  } else if (std::holds_alternative<msg::TxnOutcomeAck>(b)) {
+    // A flush: its acks rode the header and settled in HandleMessage.
   } else if (const auto* sq = std::get_if<msg::TxnStatusQuery>(&b)) {
     HandleTxnStatusQuery(m, *sq);
   } else if (const auto* sr = std::get_if<msg::TxnStatusReply>(&b)) {

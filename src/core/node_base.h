@@ -3,6 +3,7 @@
 //
 //  * coordinator-side transaction records and decisions (presumed abort),
 //  * outcome broadcast with periodic retry until every participant acks,
+//    the acks riding on whatever traffic next goes to the coordinator,
 //  * participant-side physical access: strict-2PL locking, write staging,
 //    outcome application, and in-doubt resolution by querying the
 //    coordinator,
@@ -141,6 +142,9 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
     std::set<ProcessorId> participants;
     /// Participants that have not yet acknowledged the outcome.
     std::set<ProcessorId> outcome_unacked;
+    /// A physical write was issued. Only then can a participant hold a
+    /// durable prepare, so only then does a commit need a decision record.
+    bool wrote = false;
     runtime::TaskId retry_event = runtime::kInvalidTask;
     /// Causal trace id stamped on every message this transaction emits
     /// (0 when tracing is disabled — carried but never recorded).
@@ -190,14 +194,19 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void InternalAbort(TxnId txn);
   /// Decides and broadcasts; rec.st must be kActive.
   void Decide(TxnId txn, TxnRec* rec, bool committed);
-  void BroadcastOutcome(TxnId txn);
+  /// Sends the outcome to every participant that has not acked it. The
+  /// first broadcast goes through the reliable channel (when enabled); a
+  /// retry goes raw: the retry loop is itself the retransmission, and the
+  /// channel's retransmits under it would multiply the traffic to a
+  /// participant that is down or cut off.
+  void BroadcastOutcome(TxnId txn, bool retry);
 
   // --- participant-side helpers ---
   void HandlePhysRead(const net::Message& m, const msg::PhysRead& req);
   void HandlePhysWrite(const net::Message& m, const msg::PhysWrite& req);
   void HandleLogQuery(const net::Message& m, const msg::LogQuery& req);
   void HandleTxnOutcome(const net::Message& m, const msg::TxnOutcomeMsg& body);
-  void HandleTxnOutcomeAck(const msg::TxnOutcomeAck& body);
+  void HandleTxnOutcomeAck(TxnId txn, ProcessorId from);
   void HandleTxnStatusQuery(const net::Message& m,
                             const msg::TxnStatusQuery& body);
   void HandleTxnStatusReply(const msg::TxnStatusReply& body);
@@ -226,6 +235,7 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
     m.dst = dst;
     m.body = std::move(body);
     m.trace = trace;
+    CarryOwedAcks(m);
     env_.transport->Send(std::move(m));
   }
 
@@ -248,6 +258,9 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
                     uint64_t trace = 0,
                     net::ReliableChannel::RetransmitFn on_retransmit =
                         nullptr) {
+    if (const auto* w = std::get_if<msg::PhysWrite>(&body)) {
+      if (TxnRec* rec = FindTxn(w->txn); rec != nullptr) rec->wrote = true;
+    }
     if (dst == id_) {
       DeliverLocal(std::move(body), trace);
       return 0;
@@ -323,6 +336,8 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   obs::Counter* ctr_phys_reads_served_ = nullptr;
   obs::Counter* ctr_phys_writes_served_ = nullptr;
   obs::Counter* ctr_phys_nacks_ = nullptr;
+  obs::Counter* ctr_acks_piggybacked_ = nullptr;
+  obs::Counter* ctr_ack_flushes_ = nullptr;
   obs::Histogram* hist_txn_us_ = nullptr;
   obs::Histogram* hist_outcome_ack_us_ = nullptr;
   obs::PathHistograms path_hists_;
@@ -352,8 +367,31 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void Dispatch(const net::Message& m);
 
  private:
+  /// Outcome acks this node owes one coordinator as a participant. They
+  /// ride on the next message to it (CarryOwedAcks); a flush sends them
+  /// alone once the oldest has waited AckFlushDelay().
+  struct OwedAcks {
+    std::vector<TxnId> txns;
+    runtime::TimePoint since = 0;  // When the oldest listed ack was owed.
+    bool flush_armed = false;
+  };
+
   void ScheduleInDoubtSweep();
   void ScheduleOutcomeRetry(TxnId txn);
+  /// Queues the ack of `txn`'s applied outcome for `coordinator`.
+  void OweOutcomeAck(ProcessorId coordinator, TxnId txn);
+  /// Moves the acks owed to m.dst into m's header.
+  void CarryOwedAcks(net::Message& m);
+  void ArmAckFlush(ProcessorId coordinator, runtime::Duration delay);
+  void OnAckFlush(ProcessorId coordinator);
+  /// Longest an owed ack waits for a carrier: a quarter of the outcome
+  /// retry period, so the flush lands well before the coordinator retries.
+  runtime::Duration AckFlushDelay() const {
+    return outcome_retry_period_ / 4;
+  }
+
+  /// Indexed by coordinator.
+  std::vector<OwedAcks> owed_acks_;
 };
 
 }  // namespace vp::core

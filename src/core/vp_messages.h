@@ -168,10 +168,10 @@ struct TxnOutcomeMsg {
   bool committed = false;
 };
 
-struct TxnOutcomeAck {
-  TxnId txn;
-  ProcessorId from = kInvalidProcessor;
-};
+/// Standalone carrier of a participant's owed outcome acks, sent only when
+/// no other message to the coordinator carried them in time. The acks
+/// themselves ride in the header (net::Message::outcome_acks).
+struct TxnOutcomeAck {};
 
 /// In-doubt participant asks the coordinator for a transaction's fate.
 struct TxnStatusQuery {

@@ -154,6 +154,7 @@ void VpNode::Retire() {
   recovery_retries_.clear();
   deferred_.clear();
   locked_.clear();
+  FailParkedOps();
   NodeBase::Retire();
 }
 
@@ -196,6 +197,7 @@ void VpNode::FinishCreateVp(uint64_t generation) {
     if (!monitor_timer_.armed()) {
       monitor_timer_.Set(3 * config_.delta, [this]() { OnMonitorTimeout(); });
     }
+    FailParkedOps();
     return;
   }
   // Fig. 5 line 14: commit only if no higher-numbered invitation was seen
@@ -280,6 +282,8 @@ void VpNode::FinishCreateVp(uint64_t generation) {
   // must eventually fire; arm it if the acceptance path has not.
   if (!assigned_ && !monitor_timer_.armed()) {
     monitor_timer_.Set(3 * config_.delta, [this]() { OnMonitorTimeout(); });
+    // No accepted formation is in flight to join: parked ops fail now.
+    FailParkedOps();
   }
 }
 
@@ -324,7 +328,9 @@ void VpNode::HandleVpCommit(const net::Message& m,
 void VpNode::OnMonitorTimeout() {
   if (retired_) return;
   // Fig. 6 lines 22-24: the promised commit never arrived; initiate a
-  // fresh, higher-numbered partition.
+  // fresh, higher-numbered partition. Ops parked for the failed formation
+  // fail rather than wait on another.
+  FailParkedOps();
   if (Crashed()) {
     // Retry after recovery; otherwise a crashed processor would stay
     // unassigned forever once it recovers.
@@ -1030,6 +1036,23 @@ void VpNode::Unlock(ObjectId obj) {
 // Logical operations (Fig. 10, 11).
 // ---------------------------------------------------------------------------
 
+bool VpNode::ShouldPark(TxnId txn) const {
+  if (assigned_ || parking_closed_) return false;
+  if (!create_open_ && !monitor_timer_.armed()) return false;
+  auto it = txns_.find(txn);
+  return it != txns_.end() && it->second.st == cc::TxnOutcome::kActive &&
+         !it->second.doomed && !it->second.vp_set;
+}
+
+void VpNode::FailParkedOps() {
+  if (parked_ops_.empty()) return;
+  std::vector<std::function<void()>> ops = std::move(parked_ops_);
+  parked_ops_.clear();
+  parking_closed_ = true;
+  for (auto& op : ops) op();
+  parking_closed_ = false;
+}
+
 Status VpNode::AdmitLogicalOp(TxnId txn, ObjectId obj, TxnRec** rec_out) {
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr) return Status::NotFound("unknown transaction");
@@ -1043,8 +1066,12 @@ Status VpNode::AdmitLogicalOp(TxnId txn, ObjectId obj, TxnRec** rec_out) {
     return Status::Unavailable("object inaccessible (R1)");
   }
   if (!rec->vp_set) {
+    // The first op binds the transaction to this vp and, since it has no
+    // footprint yet, to this epoch: an op parked across an epoch-advancing
+    // formation runs wholly under the new placement.
     rec->vp = cur_id_;
     rec->vp_set = true;
+    rec->epoch = epoch_;
     env_.recorder->TxnSetVp(txn, cur_id_);
   } else if (!(rec->vp == cur_id_)) {
     if (config_.weakened_r4) {
@@ -1077,6 +1104,12 @@ ProcessorId VpNode::Nearest(ObjectId obj) const {
 }
 
 void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
+  if (ShouldPark(txn)) {
+    parked_ops_.push_back([this, txn, obj, cb = std::move(cb)]() mutable {
+      LogicalRead(txn, obj, std::move(cb));
+    });
+    return;
+  }
   ++stats_.reads_attempted;
   TxnRec* rec = nullptr;
   Status admit = AdmitLogicalOp(txn, obj, &rec);
@@ -1146,6 +1179,13 @@ void VpNode::SendRead(uint64_t op_id, PendingRead pr,
 
 void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                           WriteCallback cb) {
+  if (ShouldPark(txn)) {
+    parked_ops_.push_back([this, txn, obj, value = std::move(value),
+                           cb = std::move(cb)]() mutable {
+      LogicalWrite(txn, obj, std::move(value), std::move(cb));
+    });
+    return;
+  }
   ++stats_.writes_attempted;
   TxnRec* rec = nullptr;
   Status admit = AdmitLogicalOp(txn, obj, &rec);
@@ -1288,7 +1328,6 @@ bool VpNode::MaybeDefer(const net::Message& m) {
 }
 
 void VpNode::ReprocessDeferred() {
-  if (deferred_.empty()) return;
   std::vector<net::Message> msgs = std::move(deferred_);
   deferred_.clear();
   for (const net::Message& m : msgs) {
@@ -1302,6 +1341,11 @@ void VpNode::ReprocessDeferred() {
     }
     Dispatch(m);
   }
+  if (!assigned_ || parked_ops_.empty()) return;
+  // Joined: the parked ops run in this vp, which binds their transactions.
+  std::vector<std::function<void()>> ops = std::move(parked_ops_);
+  parked_ops_.clear();
+  for (auto& op : ops) op();
 }
 
 Status VpNode::ValidateCommit(const TxnRec& rec) {

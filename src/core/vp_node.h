@@ -24,6 +24,7 @@
 #ifndef VPART_CORE_VP_NODE_H_
 #define VPART_CORE_VP_NODE_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -173,7 +174,15 @@ class VpNode : public NodeBase {
   /// Checks assignment + R1 and pins the transaction's vp (R4). Returns
   /// non-OK (and dooms the txn) if the operation must abort.
   Status AdmitLogicalOp(TxnId txn, ObjectId obj, TxnRec** rec_out);
+  /// True if `txn`'s logical op should wait for the formation in flight
+  /// instead of failing: the node is between views and the transaction is
+  /// not yet bound to a vp, so it can run wholly in the next one (R4).
+  bool ShouldPark(TxnId txn) const;
+  /// Reissues the parked logical ops once the formation has ended without
+  /// a join, so each fails as inaccessible (R1).
+  void FailParkedOps();
   ProcessorId Nearest(ObjectId obj) const;
+  /// Replays parked messages and, once assigned, parked logical ops.
   void ReprocessDeferred();
 
   const VpConfig config_;
@@ -292,6 +301,11 @@ class VpNode : public NodeBase {
   // Messages parked by MaybeDefer, reprocessed on join / unlock /
   // max-id movement.
   std::vector<net::Message> deferred_;
+  /// Logical ops parked by ShouldPark, each a closure reissuing the op.
+  /// Reissued on join; failed when the formation ends unassigned.
+  std::vector<std::function<void()>> parked_ops_;
+  /// Set while FailParkedOps reissues them, so they fail, not re-park.
+  bool parking_closed_ = false;
 
   // View-change span state (open from first departure/invitation until the
   // new view's copies finish initializing). Independent of whether the

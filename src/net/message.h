@@ -10,11 +10,14 @@
 //
 // The reliable-channel envelope rides in the header: a nonzero `rel_id`
 // marks a reliable data message that the receiver acks (with a RelAck
-// body) and deduplicates before handing the same message up.
+// body) and deduplicates before handing the same message up. So do the
+// 2PC outcome acks a participant owes the destination (`outcome_acks`):
+// any message to a coordinator carries them, whatever its body.
 #ifndef VPART_NET_MESSAGE_H_
 #define VPART_NET_MESSAGE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.h"
 #include "core/vp_messages.h"
@@ -42,6 +45,11 @@ struct Message {
   /// ack can echo it.
   uint64_t rel_id = 0;
   uint32_t rel_incarnation = 0;
+  /// Transactions whose outcome the sender has applied as a participant
+  /// and acknowledges to the destination, their coordinator
+  /// (core/node_base.h, OweOutcomeAck). Applied on receipt before the
+  /// body, whatever the body is.
+  std::vector<TxnId> outcome_acks;
 };
 
 }  // namespace vp::net

@@ -73,6 +73,7 @@ uint64_t ReliableChannel::Send(ProcessorId dst, Body body,
   p.on_timeout = std::move(on_timeout);
   p.on_retransmit = std::move(on_retransmit);
   p.last_tx = clock_->Now();
+  if (stamp_) stamp_(p.msg);
   auto [it, inserted] = pending_.emplace(rel_id, std::move(p));
   VP_CHECK(inserted);
   ++stats_.sends;
@@ -164,6 +165,7 @@ bool ReliableChannel::HandleMessage(const Message& m,
   ack.dst = m.src;
   ack.body = core::msg::RelAck{m.rel_id, m.rel_incarnation};
   ack.trace = m.trace;
+  if (stamp_) stamp_(ack);
   transport_->Send(std::move(ack));
   if (!seen_[m.src].insert(m.rel_id).second) {
     ++stats_.dup_suppressed;

@@ -105,6 +105,10 @@ class ReliableChannel {
   using RetransmitFn = std::function<void(runtime::Duration stall)>;
   /// Receives the first copy of each reliable data message.
   using DeliverFn = std::function<void(const Message&)>;
+  /// Fills header fields the owner piggybacks on outgoing traffic (its
+  /// owed 2PC outcome acks) just before the channel hands a data message
+  /// or a RelAck to the transport.
+  using StampFn = std::function<void(Message&)>;
 
   /// `metrics`/`tracer`/`fdr` may be null (process-global fallbacks are
   /// used): the channel mirrors its counters into the registry, records a
@@ -156,6 +160,10 @@ class ReliableChannel {
   /// (the in-doubt sweep remains the backstop for longer outages).
   void Orphan();
 
+  /// Installs the owner's header stamp (see StampFn). A data message is
+  /// stamped once, at its first transmission; retransmissions repeat it.
+  void set_stamp(StampFn stamp) { stamp_ = std::move(stamp); }
+
   const ReliableStats& stats() const { return stats_; }
   size_t pending_count() const { return pending_.size(); }
 
@@ -191,6 +199,7 @@ class ReliableChannel {
   /// never collide with its next one.
   std::unordered_map<ProcessorId, std::unordered_set<uint64_t>> seen_;
   ReliableStats stats_;
+  StampFn stamp_;
 
   obs::Tracer* tracer_;
   obs::FlightRecorder* fdr_;

@@ -107,6 +107,60 @@ TEST(Amnesia, NoWalRebootLosesTheCommittedWrite) {
   }
 }
 
+TEST(Amnesia, ReadOnlyCommitLogsNoDecisionAndLeavesNoOneInDoubt) {
+  // A read-only commit needs no decision record: no participant holds a
+  // prepare for it. The coordinator amnesia-crashes right after deciding,
+  // with the outcome swallowed by a partition, so the serving copy still
+  // holds the read lock. After the reboot, presumed abort releases it.
+  ClusterConfig config;
+  config.n_processors = 3;
+  config.n_objects = 1;
+  config.seed = 14;
+  config.protocol = Protocol::kVirtualPartition;
+  config.durability = DurabilityMode::kWal;
+  config.placement.AddCopy(0, 1);
+  config.placement.AddCopy(0, 2);
+  config.has_custom_placement = true;
+  Cluster cluster(config);
+  cluster.RunFor(sim::Seconds(2));
+
+  core::NodeBase& node = cluster.node(0);
+  const TxnId txn = node.NewTxnId();
+  node.Begin(txn);
+  ProcessorId served_by = kInvalidProcessor;
+  node.LogicalRead(txn, 0, [&](Result<core::ReadResult> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    served_by = r.value().served_by;
+  });
+  cluster.RunFor(sim::Millis(200));
+  ASSERT_NE(served_by, kInvalidProcessor);
+
+  cluster.graph().Partition({{0}, {1, 2}});
+  Status commit_status = Status::Internal("callback not run");
+  node.Commit(txn, [&](Status s) { commit_status = s; });
+  ASSERT_TRUE(commit_status.ok()) << commit_status.ToString();
+  EXPECT_TRUE(cluster.locks(served_by).Holds(txn, 0, cc::LockMode::kShared));
+  for (const storage::WalFrame& f : cluster.stable(0).wal().frames()) {
+    EXPECT_NE(f.rec.type, storage::WalRecord::Type::kDecision);
+  }
+  cluster.injector().CrashAmnesiaAt(cluster.scheduler().Now(), 0);
+  cluster.injector().RecoverAt(cluster.scheduler().Now() + sim::Millis(500),
+                               0);
+  cluster.RunFor(sim::Seconds(1));
+  cluster.graph().Heal();
+  cluster.RunFor(sim::Seconds(4));
+
+  EXPECT_EQ(cluster.stable(0).incarnation(), 1u);
+  EXPECT_EQ(cluster.stable(0).stats().wal_replay_records, 0u);
+  EXPECT_FALSE(cluster.locks(served_by).Holds(txn, 0, cc::LockMode::kShared));
+  for (ProcessorId p : {1, 2}) {
+    EXPECT_FALSE(cluster.store(p).HasStage(0)) << "p" << p;
+    EXPECT_EQ(cluster.store(p).Read(0).value().value, "0") << "p" << p;
+  }
+  EXPECT_TRUE(cluster.recorder().safety_violations().empty());
+  EXPECT_TRUE(cluster.Certify().ok);
+}
+
 TEST(Amnesia, ParticipantCrashBetweenPrepareAndOutcomeResolvesViaCoordinator) {
   ClusterConfig config;
   config.n_processors = 3;

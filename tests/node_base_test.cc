@@ -1,7 +1,10 @@
 // Unit tests of the shared transaction machinery (NodeBase): decision
-// semantics, outcome broadcast retries, presumed abort, and in-doubt
-// resolution — driven through a live VP cluster with surgical link control.
+// semantics, outcome broadcast retries and their piggybacked acks, presumed
+// abort, and in-doubt resolution — driven through live clusters with
+// surgical link control.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "cc/txn.h"
 #include "core/test_env.h"
@@ -298,6 +301,130 @@ TEST(VpWrite, FootprintCoversTheWritesOwnCopies) {
   for (ProcessorId q : cluster.placement().CopyHolders(0)) {
     EXPECT_EQ(footprint.count(q), 1u) << "target p" << q;
   }
+}
+
+// --- Outcome acks ride on traffic to the coordinator ---
+
+/// Messages of body type T the network has carried so far.
+template <typename T>
+uint64_t SentOfType(Cluster& cluster) {
+  return cluster.network().stats().sent_by_type[net::Body(T{}).index()];
+}
+
+uint64_t Counter(Cluster& cluster, const char* name) {
+  return cluster.metrics().Snapshot().CounterValue(name);
+}
+
+/// Outcome rounds the coordinators have seen fully acked, and the sum of
+/// their decision-to-last-ack times.
+std::pair<uint64_t, uint64_t> AckedRounds(Cluster& cluster) {
+  const obs::MetricsSnapshot snap = cluster.metrics().Snapshot();
+  const auto* h = snap.FindHistogram("txn.outcome_ack_us");
+  return h == nullptr ? std::pair<uint64_t, uint64_t>{0, 0}
+                      : std::pair<uint64_t, uint64_t>{h->count, h->sum};
+}
+
+/// Commits one write of object 0 at p0 (every copy participates).
+void CommitWrite(Cluster& cluster, const Value& v) {
+  const testutil::TxnOutcome out =
+      testutil::RunTxn(cluster, 0, {testutil::Write(0, v)});
+  ASSERT_TRUE(out.committed) << out.failure.ToString();
+}
+
+/// Drops every standalone ack (the flush) addressed to p0 and forwards
+/// the rest: the flush removed, as far as the coordinator can tell.
+class DropAckFlushes : public net::NodeInterface {
+ public:
+  explicit DropAckFlushes(Cluster* cluster) : cluster_(cluster) {
+    cluster_->network().Register(0, this);
+  }
+  void HandleMessage(const net::Message& m) override {
+    if (std::holds_alternative<core::msg::TxnOutcomeAck>(m.body)) return;
+    cluster_->node(0).HandleMessage(m);
+  }
+
+ private:
+  Cluster* cluster_;
+};
+
+TEST(OutcomeAcks, SteadyWriteStreamSendsNoStandaloneAckOrRetry) {
+  // Each participant's ack rides on its reply to the next transaction's
+  // write, so a back-to-back stream needs no ack message of its own.
+  Cluster cluster(Cfg(11));
+  cluster.RunFor(sim::Seconds(1));
+  constexpr uint64_t kTxns = 20;
+  const uint64_t outcomes_before = SentOfType<core::msg::TxnOutcomeMsg>(cluster);
+  for (uint64_t i = 0; i < kTxns; ++i) CommitWrite(cluster, std::to_string(i));
+
+  EXPECT_EQ(SentOfType<core::msg::TxnOutcomeAck>(cluster), 0u);
+  EXPECT_EQ(SentOfType<core::msg::TxnOutcomeMsg>(cluster) - outcomes_before,
+            2 * kTxns);  // One per remote participant: no retry.
+  EXPECT_GE(Counter(cluster, "node.outcome_acks_piggybacked"),
+            2 * (kTxns - 1));
+  // The last transaction's acks have no carrier; the flush sends them.
+  cluster.RunFor(sim::Millis(100));
+  EXPECT_EQ(AckedRounds(cluster).first, kTxns);
+  EXPECT_LE(Counter(cluster, "node.outcome_ack_flushes"), 2u);
+  EXPECT_EQ(SentOfType<core::msg::TxnOutcomeMsg>(cluster) - outcomes_before,
+            2 * kTxns);
+}
+
+ClusterConfig RowaCfg(uint64_t seed) {
+  // No periodic traffic (ROWA does not probe), so an idle commit's acks
+  // have no carrier but the flush.
+  return testutil::Cfg(3, seed, Protocol::kRowa, /*n_objects=*/2);
+}
+
+TEST(OutcomeAcks, LoneIdleCommitIsAckedByTheFlushWithinTheBound) {
+  Cluster cluster(RowaCfg(12));
+  cluster.RunFor(sim::Millis(100));
+  CommitWrite(cluster, "lone");
+  cluster.RunFor(sim::Millis(200));
+  const auto [rounds, total_us] = AckedRounds(cluster);
+  EXPECT_EQ(rounds, 1u);
+  EXPECT_EQ(Counter(cluster, "node.outcome_ack_flushes"), 2u);
+  EXPECT_EQ(SentOfType<core::msg::TxnOutcomeMsg>(cluster), 2u);  // No retry.
+  // Outcome hop + flush delay (retry period / 4 = 10 ms) + ack hop, each
+  // hop at most 5 ms: inside the 40 ms retry period.
+  EXPECT_LE(total_us, 20000u);
+}
+
+TEST(OutcomeAcks, WithoutTheFlushAnIdleCommitIsNeverAcked) {
+  // Negative control for the test above: the same idle commit, with the
+  // flush's messages removed, keeps the coordinator retrying the outcome.
+  Cluster cluster(RowaCfg(12));
+  cluster.RunFor(sim::Millis(100));
+  DropAckFlushes drop(&cluster);
+  CommitWrite(cluster, "lone");
+  cluster.RunFor(sim::Seconds(1));
+  EXPECT_EQ(AckedRounds(cluster).first, 0u);
+  EXPECT_GT(SentOfType<core::msg::TxnOutcomeMsg>(cluster), 20u);
+}
+
+TEST(OutcomeAcks, ParticipantCrashWhileOwingAcksResolvesByOutcomeRetry) {
+  Cluster cluster(RowaCfg(13));
+  cluster.RunFor(sim::Millis(100));
+  core::NodeBase& node = cluster.node(0);
+  const TxnId txn = node.NewTxnId();
+  node.Begin(txn);
+  node.LogicalWrite(txn, 0, "owed", [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(50));
+  node.Commit(txn, [](Status s) { ASSERT_TRUE(s.ok()); });
+  // Step until p1 applies the outcome: it now owes p0 the ack.
+  while (cluster.store(1).HasStage(0)) {
+    ASSERT_TRUE(cluster.scheduler().RunOne());
+  }
+  ASSERT_EQ(Counter(cluster, "node.outcome_ack_flushes"), 0u);
+  const sim::SimTime now = cluster.scheduler().Now();
+  cluster.injector().CrashAt(now, 1);
+  cluster.injector().RecoverAt(now + sim::Millis(100), 1);
+  cluster.RunFor(sim::Millis(50));
+  EXPECT_EQ(AckedRounds(cluster).first, 0u);  // p1's ack died with it.
+  cluster.RunFor(sim::Seconds(1));
+  EXPECT_EQ(AckedRounds(cluster).first, 1u);
+  // The coordinator retried until the recovered p1 acked again.
+  EXPECT_GT(SentOfType<core::msg::TxnOutcomeMsg>(cluster), 2u);
+  EXPECT_EQ(cluster.store(1).Read(0).value().value, "owed");
 }
 
 TEST(NodeBase, TxnIdsAreUniquePerNode) {

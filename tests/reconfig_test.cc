@@ -297,13 +297,17 @@ TEST(ReconfigAmnesia, PersistedEpochSurvivesARebootAfterTheTransition) {
 /// The split-brain scenario: a partition strands the proposer in a
 /// minority, whose reconfiguration shrinks object 0's placement to exactly
 /// that minority. Gated, the batch defers until the heal; ungated, both
-/// sides serve disjoint majorities and 1SR breaks.
+/// sides serve disjoint majorities and 1SR breaks. Whether the certifier
+/// can see the break depends on the schedule (about 55% of seeds show it:
+/// the majority side must stay in a partition numbered below the
+/// minority's), so the seed is re-checked whenever message schedules
+/// shift.
 nemesis::FaultPlan SplitBrainReconfigPlan(bool epoch_gating) {
   nemesis::FaultPlan plan;
   plan.protocol = harness::Protocol::kVirtualPartition;
   plan.n_processors = 5;
   plan.n_objects = 1;
-  plan.seed = 7;
+  plan.seed = 1;
   plan.storm = sim::Seconds(3);
   plan.epoch_gating = epoch_gating;
   net::FaultAction split;

@@ -238,13 +238,16 @@ TEST(ReliableDelivery, PlanRoundTripKeepsTheReliableFlag) {
 }
 
 TEST(ReliableDelivery, HarshSeedRegressionUnretriedFailsRetriedPasses) {
-  // Harsh seed 3 is one of the ~16% of harsh storms where the unretried
-  // quorum baseline loses one-copy serializability to dropped physical
-  // writes (the lost-quorum-write bug this layer fixes). The identical
-  // plan must fail without the channel and pass with it.
+  // Harsh seed 13 is one of the ~10-13% of harsh storms where the
+  // unretried quorum baseline loses one-copy serializability to dropped
+  // physical writes (the lost-quorum-write bug this layer fixes). The
+  // identical plan must fail without the channel and pass with it. Which
+  // seeds lose a write moves with the message schedule, so the seed is
+  // re-checked (`nemesis_campaign --protocol=quorum --harsh`) whenever
+  // schedules shift.
   nemesis::GeneratorConfig gc;
   gc.harsh = true;
-  nemesis::FaultPlan plan = nemesis::GeneratePlan(3, gc);
+  nemesis::FaultPlan plan = nemesis::GeneratePlan(13, gc);
   plan.protocol = harness::Protocol::kQuorum;
 
   nemesis::RunOutcome unretried = nemesis::RunPlan(plan);

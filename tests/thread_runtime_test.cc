@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/vp_node.h"
 #include "harness/thread_cluster.h"
 #include "net/message.h"
 #include "obs/metrics.h"
@@ -482,6 +483,85 @@ TEST(ThreadProtocols, LocalCopiesAreServedWithoutTheTransport) {
   EXPECT_EQ(snap.CounterValue("net.msgs_sent"), 0u);
   EXPECT_EQ(snap.CounterValue("node.phys_reads_served"), 42u);
   EXPECT_EQ(snap.CounterValue("node.phys_writes_served"), 40u);
+  EXPECT_TRUE(cluster.Certify().ok);
+}
+
+TEST(ThreadProtocols, OutcomeAcksRideOnTrafficToTheCoordinator) {
+  // Back-to-back writes from one coordinator: each participant's outcome
+  // ack rides on its reply to the next write, and the flush acks the last
+  // transaction. TSan watches the owed-ack lists and their flush timers.
+  using TC = harness::ThreadCluster;
+  harness::ThreadClusterConfig cfg;
+  cfg.n_processors = 3;
+  cfg.n_objects = 2;
+  cfg.protocol = harness::Protocol::kVirtualPartition;
+  TC cluster(cfg);
+  constexpr uint64_t kTxns = 40;
+  uint64_t committed = 0;
+  // Early attempts may fail while the first view forms.
+  for (int attempt = 0; committed < kTxns && attempt < 2000; ++attempt) {
+    if (cluster.RunTxn(0, {TC::Write(0, std::to_string(committed))})
+            .committed) {
+      ++committed;
+    } else {
+      SleepMs(2);
+    }
+  }
+  ASSERT_EQ(committed, kTxns);
+  SleepMs(100);  // Past the flush delay (a quarter of the retry period).
+  cluster.Stop();
+  const obs::MetricsSnapshot snap = cluster.metrics().Snapshot();
+  const auto* acked = snap.FindHistogram("txn.outcome_ack_us");
+  ASSERT_NE(acked, nullptr);
+  EXPECT_GE(acked->count, kTxns);  // Every outcome round completed.
+  EXPECT_GE(snap.CounterValue("node.outcome_acks_piggybacked"), kTxns);
+  EXPECT_LT(snap.CounterValue("node.outcome_ack_flushes"), kTxns / 2);
+  EXPECT_TRUE(cluster.Certify().ok);
+}
+
+TEST(ThreadProtocols, SameMembershipViewChangesFailOnlyInFlightTxns) {
+  // Closed-loop clients while nodes keep re-forming the partition with the
+  // same members (as a missed probe deadline does under CPU contention).
+  // A transaction begun between views waits for the new one, so each view
+  // change fails at most the few transactions already bound to the old vp
+  // — not every resubmission a client makes while the view forms.
+  using TC = harness::ThreadCluster;
+  harness::ThreadClusterConfig cfg;
+  cfg.n_processors = 3;
+  cfg.n_objects = 8;
+  TC cluster(cfg);
+  SleepMs(100);  // The first view forms.
+  constexpr int kClients = 3;
+  constexpr int kViewChanges = 10;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> committed{0}, failed{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (uint64_t i = 0; !stop.load(); ++i) {
+        const auto obj = static_cast<ObjectId>((3 * t + i) % 8);
+        TC::TxnResult r =
+            cluster.RunTxn(static_cast<ProcessorId>(t),
+                           {TC::Increment(obj), TC::Read((obj + 1) % 8)});
+        (r.committed ? committed : failed).fetch_add(1);
+      }
+    });
+  }
+  for (int k = 0; k < kViewChanges; ++k) {
+    SleepMs(50);
+    const auto p = static_cast<ProcessorId>(k % 3);
+    ASSERT_TRUE(cluster.runtime().RunOn(p, [&cluster, p] {
+      static_cast<core::VpNode&>(cluster.node(p)).ForceCreateNewVp();
+    }));
+  }
+  SleepMs(100);
+  stop = true;
+  for (auto& c : clients) c.join();
+  cluster.Stop();
+  EXPECT_GT(committed.load(), 0u);
+  // A client has one transaction in flight; allow it a few per change.
+  EXPECT_LE(failed.load(), uint64_t{3 * kClients * kViewChanges})
+      << committed.load() << " committed";
   EXPECT_TRUE(cluster.Certify().ok);
 }
 

@@ -1,9 +1,13 @@
 // Message-level tests of the virtual-partition creation machinery
 // (Fig. 4-6): invitation contention, lost acceptances, lost commits,
-// monitor timeouts, stale messages, and the date-poll recovery mode.
+// monitor timeouts, stale messages, logical ops issued while a partition
+// forms, and the date-poll recovery mode.
 // Raw protocol messages are injected through the network to exercise
 // paths that whole-cluster runs reach only probabilistically.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <vector>
 
 #include "core/vp_messages.h"
 #include "harness/cluster.h"
@@ -150,6 +154,84 @@ TEST(VpCreation, LateVpOkAfterPhaseOneIsIgnored) {
   Inject(cluster, 2, 0, VpOk{VpId{1, 0}, 2, VpId{0, 2}});
   cluster.RunFor(sim::Millis(20));
   EXPECT_TRUE(node.assigned());
+  EXPECT_TRUE(cluster.recorder().safety_violations().empty());
+}
+
+// --- Logical ops during a formation ---
+
+/// Steps the cluster until `p` departs its view (a formation is in flight),
+/// for at most `budget`.
+bool RunUntilDeparted(Cluster& cluster, ProcessorId p, sim::Duration budget) {
+  const sim::SimTime deadline = cluster.scheduler().Now() + budget;
+  while (cluster.vp_node(p).assigned()) {
+    if (cluster.scheduler().Now() >= deadline ||
+        !cluster.scheduler().RunOne()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(VpFormation, TxnsBegunDuringASameMembershipViewChangeCommit) {
+  // A short one-way cut p1 -> p0 swallows p1's probe acks (and the ack to
+  // the one re-probe) of p0's round at 1025 ms (p0 probes at π/4 + k·π),
+  // then heals before p1 accepts p0's invitation: the new view has the
+  // same members. Transactions begun while it forms wait for it instead of
+  // failing as inaccessible.
+  Cluster cluster(Cfg(3));
+  cluster.RunFor(sim::Seconds(1));
+  ASSERT_TRUE(cluster.VpConverged());
+  const VpId before = cluster.vp_node(0).cur_id();
+  const sim::SimTime t0 = cluster.scheduler().Now();
+  cluster.injector().LinkDownOneWayAt(t0 + sim::Millis(20), 1, 0);
+  cluster.injector().LinkUpOneWayAt(t0 + sim::Millis(44), 1, 0);
+
+  std::vector<testutil::TxnOutcome> outs(2);
+  ASSERT_TRUE(RunUntilDeparted(cluster, 0, sim::Millis(100)));
+  testutil::StartScriptedTxn(cluster.node(0), {testutil::Increment(0)},
+                             &outs[0]);
+  ASSERT_TRUE(RunUntilDeparted(cluster, 1, sim::Millis(20)));
+  testutil::StartScriptedTxn(cluster.node(1),
+                             {testutil::Read(1), testutil::Write(1, "b")},
+                             &outs[1]);
+  EXPECT_FALSE(outs[0].done);
+  EXPECT_FALSE(outs[1].done);
+  cluster.RunFor(sim::Seconds(1));
+
+  for (const testutil::TxnOutcome& out : outs) {
+    ASSERT_TRUE(out.done);
+    EXPECT_TRUE(out.committed) << out.failure.ToString();
+  }
+  EXPECT_LT(before, cluster.vp_node(0).cur_id());
+  EXPECT_EQ(cluster.vp_node(0).view(), (std::set<ProcessorId>{0, 1, 2}));
+  EXPECT_EQ(cluster.store(2).Read(0).value().value, "1");
+  EXPECT_TRUE(cluster.recorder().safety_violations().empty());
+  EXPECT_TRUE(cluster.Certify().ok);
+}
+
+TEST(VpFormation, OpParkedInAFormationThatEndsUnassignedFails) {
+  // p1 accepts an invitation whose commit never comes. Its parked op fails
+  // as inaccessible when the 3δ monitor timeout gives up on that formation;
+  // it does not wait for the next one.
+  Cluster cluster(Cfg(3));
+  cluster.RunFor(sim::Seconds(1));
+  ASSERT_TRUE(cluster.VpConverged());
+  auto& node = cluster.vp_node(1);
+  Inject(cluster, 2, 1, NewVp{VpId{node.cur_id().n + 100, 2}});
+  cluster.RunFor(sim::Millis(10));
+  ASSERT_FALSE(node.assigned());
+
+  testutil::TxnOutcome out;
+  testutil::StartScriptedTxn(node, {testutil::Read(0)}, &out);
+  EXPECT_FALSE(out.done);  // Parked.
+  cluster.RunFor(3 * node.config().delta);
+  ASSERT_TRUE(out.done);
+  EXPECT_FALSE(out.committed);
+  EXPECT_TRUE(out.failure.IsUnavailable()) << out.failure.ToString();
+  // The node forms its own partition afterwards and serves again.
+  cluster.RunFor(sim::Seconds(1));
+  EXPECT_TRUE(node.assigned());
+  EXPECT_TRUE(testutil::RunTxn(cluster, 1, {testutil::Read(0)}).committed);
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
 }
 
