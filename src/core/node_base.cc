@@ -704,7 +704,7 @@ void NodeBase::HandleMessage(const net::Message& m) {
   if (Crashed()) return;  // Defensive; the network already drops these.
   // Piggybacked outcome acks settle on receipt, whatever carries them: a
   // RelAck or a duplicate the channel consumes below, or a request that
-  // MaybeDefer parks.
+  // MaybeDefer parks. The channel settles its own carried ack the same way.
   for (const TxnId& txn : m.outcome_acks) HandleTxnOutcomeAck(txn, m.src);
   if (rel_ != nullptr &&
       rel_->HandleMessage(

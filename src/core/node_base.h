@@ -229,6 +229,9 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   /// the in-doubt sweep to resolve against their coordinators.
   void ReplayWal();
 
+  /// Sends `body` raw: no retransmission, no dedup. It still carries
+  /// every ack this node owes `dst`: its outcome acks, and the reliable
+  /// channel's ack of the message being handled.
   void Send(ProcessorId dst, net::Body body, uint64_t trace = 0) {
     net::Message m;
     m.src = id_;
@@ -236,6 +239,7 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
     m.body = std::move(body);
     m.trace = trace;
     CarryOwedAcks(m);
+    if (rel_ != nullptr) rel_->CarryAck(m);
     env_.transport->Send(std::move(m));
   }
 
@@ -380,7 +384,7 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void ScheduleOutcomeRetry(TxnId txn);
   /// Queues the ack of `txn`'s applied outcome for `coordinator`.
   void OweOutcomeAck(ProcessorId coordinator, TxnId txn);
-  /// Moves the acks owed to m.dst into m's header.
+  /// Moves the outcome acks owed to m.dst into m's header.
   void CarryOwedAcks(net::Message& m);
   void ArmAckFlush(ProcessorId coordinator, runtime::Duration delay);
   void OnAckFlush(ProcessorId coordinator);

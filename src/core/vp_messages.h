@@ -186,12 +186,11 @@ struct TxnStatusReply {
 
 // ---- Reliable channel (net/reliable_channel.h) ----
 
-/// Acknowledges one reliable transmission: echoes the data message's
-/// header `rel_id` and `rel_incarnation`.
-struct RelAck {
-  uint64_t rel_id = 0;
-  uint32_t incarnation = 0;
-};
+/// Standalone carrier of a reliable-channel ack, sent only when nothing
+/// else to the data message's sender carried it within the dispatch that
+/// received it. The ack itself rides in the header
+/// (net::Message::ack_rel_id, ack_incarnation).
+struct RelAck {};
 
 // ---- The closed wire type ----
 

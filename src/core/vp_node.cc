@@ -1153,6 +1153,7 @@ void VpNode::SendRead(uint64_t op_id, PendingRead pr,
   const uint64_t trace = pr.trace;
   msg::PhysRead req{txn, pr.obj, cur_id_, epoch_, /*recovery=*/false,
                     /*for_update=*/false, op_id, footprint};
+  pr.issued_vp = cur_id_;
   pending_reads_[op_id] = std::move(pr);
   SendPhys(target, std::move(req), nullptr, trace, RetransmitToPath(txn));
   auto it = pending_reads_.find(op_id);
@@ -1172,7 +1173,10 @@ void VpNode::SendRead(uint64_t op_id, PendingRead pr,
           r->path.OpCompleted(env_.clock->Now(), 0);
         }
         InternalAbort(pr2.txn);
-        if (!Crashed()) CreateNewVp();
+        if (!Crashed() &&
+            NoResponseSuspectsView(pr2.issued_vp, {pr2.target})) {
+          CreateNewVp();
+        }
         pr2.cb(Status::Timeout("no response from copy holder"));
       });
 }
@@ -1204,6 +1208,7 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   pw.cb = std::move(cb);
   pw.issued_at = env_.clock->Now();
   pw.trace = rec->trace;
+  pw.issued_vp = cur_id_;
   for (ProcessorId q : CurrentPlacement().CopyHolders(obj)) {
     if (lview_.count(q) > 0) pw.awaiting.insert(q);
   }
@@ -1246,9 +1251,21 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
           r->path.OpCompleted(env_.clock->Now(), pw2.max_lock_wait_us);
         }
         InternalAbort(pw2.txn);
-        if (!Crashed()) CreateNewVp();
+        if (!Crashed() &&
+            NoResponseSuspectsView(pw2.issued_vp, pw2.awaiting)) {
+          CreateNewVp();
+        }
         pw2.cb(Status::Timeout("write-all incomplete"));
       });
+}
+
+bool VpNode::NoResponseSuspectsView(
+    VpId issued_vp, const std::set<ProcessorId>& silent) const {
+  if (!(issued_vp == cur_id_)) return false;
+  for (ProcessorId q : silent) {
+    if (lview_.count(q) > 0) return true;
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------

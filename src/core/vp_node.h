@@ -248,6 +248,8 @@ class VpNode : public NodeBase {
     /// histogram covers the whole logical read.
     runtime::TimePoint issued_at = 0;
     uint64_t trace = 0;
+    /// The view the current attempt was issued in (NoResponseSuspectsView).
+    VpId issued_vp;
   };
   struct PendingWrite {
     TxnId txn;
@@ -262,6 +264,8 @@ class VpNode : public NodeBase {
     /// Slowest participant-reported lock wait so far — the copy the
     /// write-all actually waited on (critical-path attribution).
     uint64_t max_lock_wait_us = 0;
+    /// The view the write was issued in (NoResponseSuspectsView).
+    VpId issued_vp;
   };
   std::map<uint64_t, PendingRead> pending_reads_;
   std::map<uint64_t, PendingWrite> pending_writes_;
@@ -270,6 +274,13 @@ class VpNode : public NodeBase {
   /// copy replies inline).
   void SendRead(uint64_t op_id, PendingRead pr,
                 const std::set<ProcessorId>& footprint);
+  /// True if an op issued in view `issued_vp` that got no reply from
+  /// `silent` must suspect the current view (Fig. 10's no-response
+  /// handler): only while that view still stands and still counts one of
+  /// the silent holders. A join since the issue already re-checked the
+  /// membership, and excluded a holder it found missing.
+  bool NoResponseSuspectsView(VpId issued_vp,
+                              const std::set<ProcessorId>& silent) const;
 
   // R5 recovery state, per object being initialized.
   struct PendingRecovery {

@@ -9,10 +9,13 @@
 // takes no link dependency on the protocol code.
 //
 // The reliable-channel envelope rides in the header: a nonzero `rel_id`
-// marks a reliable data message that the receiver acks (with a RelAck
-// body) and deduplicates before handing the same message up. So do the
-// 2PC outcome acks a participant owes the destination (`outcome_acks`):
-// any message to a coordinator carries them, whatever its body.
+// marks a reliable data message that the receiver deduplicates before
+// handing the same message up. Its ack rides in the header too
+// (`ack_rel_id`), on the receiver's next message back to the sender
+// within the same dispatch, or on an empty RelAck body when none goes.
+// So do the 2PC outcome acks a participant owes the destination
+// (`outcome_acks`): any message to a coordinator carries them, whatever
+// its body.
 #ifndef VPART_NET_MESSAGE_H_
 #define VPART_NET_MESSAGE_H_
 
@@ -45,6 +48,16 @@ struct Message {
   /// ack can echo it.
   uint64_t rel_id = 0;
   uint32_t rel_incarnation = 0;
+  /// The sender's lowest unacked reliable id when this copy went out (0
+  /// on raw sends). Every id of `rel_incarnation` below it is settled, so
+  /// the receiver forgets those ids and treats a late copy of one as a
+  /// duplicate.
+  uint64_t rel_floor = 0;
+  /// A reliable-channel ack the sender owes the destination: it settles
+  /// the destination's send `ack_rel_id` of incarnation `ack_incarnation`.
+  /// 0 = none. Settled on receipt, whatever the body is.
+  uint64_t ack_rel_id = 0;
+  uint32_t ack_incarnation = 0;
   /// Transactions whose outcome the sender has applied as a participant
   /// and acknowledges to the destination, their coordinator
   /// (core/node_base.h, OweOutcomeAck). Applied on receipt before the

@@ -42,6 +42,8 @@ ReliableChannel::ReliableChannel(runtime::Clock* clock,
   ctr_delivered_ = metrics->counter("rel.delivered");
   ctr_dups_ = metrics->counter("rel.dups_suppressed");
   ctr_timed_out_ = metrics->counter("rel.timed_out");
+  ctr_acks_carried_ = metrics->counter("rel.acks_carried");
+  ctr_ack_msgs_ = metrics->counter("rel.ack_msgs");
   VP_CHECK_MSG(config_.delivery_deadline > 0,
                "delivery deadline must be finite: the simulation runs to "
                "idle and cannot host unbounded retransmission loops");
@@ -74,10 +76,12 @@ uint64_t ReliableChannel::Send(ProcessorId dst, Body body,
   p.on_retransmit = std::move(on_retransmit);
   p.last_tx = clock_->Now();
   if (stamp_) stamp_(p.msg);
+  CarryAck(p.msg);
   auto [it, inserted] = pending_.emplace(rel_id, std::move(p));
   VP_CHECK(inserted);
   ++stats_.sends;
   ctr_sends_->Increment();
+  it->second.msg.rel_floor = pending_.begin()->first;
   transport_->Send(it->second.msg);
   ArmTimer(rel_id);
   return rel_id;
@@ -124,6 +128,7 @@ void ReliableChannel::OnTimer(uint64_t rel_id) {
   }
   if (p.on_retransmit) p.on_retransmit(now - p.last_tx);
   p.last_tx = now;
+  p.msg.rel_floor = pending_.begin()->first;
   transport_->Send(p.msg);
   p.next_delay = std::min<runtime::Duration>(
       static_cast<runtime::Duration>(static_cast<double>(p.next_delay) *
@@ -134,48 +139,87 @@ void ReliableChannel::OnTimer(uint64_t rel_id) {
 
 bool ReliableChannel::HandleMessage(const Message& m,
                                     const DeliverFn& deliver) {
-  if (const auto* ack = std::get_if<core::msg::RelAck>(&m.body)) {
-    if (ack->incarnation != incarnation_) {
-      // Ack addressed to a previous life of this processor; the pending
-      // send it settles died with that incarnation's volatile state.
-      ++stats_.stale_acks;
-      ctr_stale_acks_->Increment();
-      return true;
-    }
-    auto it = pending_.find(ack->rel_id);
-    if (it == pending_.end()) {
-      // Duplicate ack, or an ack racing a just-expired deadline.
-      ++stats_.stale_acks;
-      ctr_stale_acks_->Increment();
-      return true;
-    }
-    ++stats_.acks_received;
-    ctr_acks_->Increment();
-    executor_->Cancel(it->second.timer);
-    pending_.erase(it);
-    return true;
-  }
+  if (m.ack_rel_id != 0) SettleAck(m.ack_rel_id, m.ack_incarnation);
+  if (std::holds_alternative<core::msg::RelAck>(m.body)) return true;
   if (m.rel_id == 0) return false;
 
-  // Ack every copy (the first transmission's ack may have been lost; the
-  // retransmission that follows must still be acknowledged or the sender
-  // retries forever-until-deadline).
-  Message ack;
-  ack.src = m.dst;
-  ack.dst = m.src;
-  ack.body = core::msg::RelAck{m.rel_id, m.rel_incarnation};
-  ack.trace = m.trace;
-  if (stamp_) stamp_(ack);
-  transport_->Send(std::move(ack));
-  if (!seen_[m.src].insert(m.rel_id).second) {
+  const OwedAck ack{m.src, m.rel_id, m.rel_incarnation, m.trace};
+  if (!FirstCopy(m)) {
+    // The first copy's ack (or its carrier) was lost, or this copy was
+    // duplicated in flight: ack again, or the sender retries until its
+    // deadline.
     ++stats_.dup_suppressed;
     ctr_dups_->Increment();
+    SendAck(ack);
     return true;
   }
   ++stats_.delivered;
   ctr_delivered_->Increment();
+  // Transports never deliver synchronously, so deliveries do not nest.
+  VP_CHECK(owed_.rel_id == 0);
+  owed_ = ack;
   deliver(m);
+  if (owed_.rel_id != 0) {
+    // Nothing went back to the sender while the node handled the message
+    // (its reply waits for a lock, say): ack alone now.
+    SendAck(owed_);
+    owed_ = OwedAck{};
+  }
   return true;
+}
+
+void ReliableChannel::CarryAck(Message& m) {
+  if (owed_.rel_id == 0 || m.dst != owed_.peer) return;
+  m.ack_rel_id = owed_.rel_id;
+  m.ack_incarnation = owed_.incarnation;
+  owed_ = OwedAck{};
+  ctr_acks_carried_->Increment();
+}
+
+void ReliableChannel::SettleAck(uint64_t rel_id, uint32_t incarnation) {
+  auto it = incarnation == incarnation_ ? pending_.find(rel_id)
+                                        : pending_.end();
+  if (it == pending_.end()) {
+    // Addressed to a previous life of this processor (the pending send
+    // died with that incarnation's volatile state), or repeated on a
+    // carrier's retransmission, or racing a just-expired deadline.
+    ++stats_.stale_acks;
+    ctr_stale_acks_->Increment();
+    return;
+  }
+  ++stats_.acks_received;
+  ctr_acks_->Increment();
+  executor_->Cancel(it->second.timer);
+  pending_.erase(it);
+}
+
+bool ReliableChannel::FirstCopy(const Message& m) {
+  Dedup& d = dedup_[{m.src, m.rel_incarnation}];
+  if (m.rel_floor > d.floor) {
+    d.floor = m.rel_floor;
+    d.seen.erase(d.seen.begin(), d.seen.lower_bound(d.floor));
+  }
+  if (m.rel_id < d.floor) return false;
+  return d.seen.insert(m.rel_id).second;
+}
+
+void ReliableChannel::SendAck(const OwedAck& ack) {
+  Message m;
+  m.src = self_;
+  m.dst = ack.peer;
+  m.body = core::msg::RelAck{};
+  m.trace = ack.trace;
+  m.ack_rel_id = ack.rel_id;
+  m.ack_incarnation = ack.incarnation;
+  if (stamp_) stamp_(m);
+  ctr_ack_msgs_->Increment();
+  transport_->Send(std::move(m));
+}
+
+size_t ReliableChannel::dedup_size() const {
+  size_t n = 0;
+  for (const auto& [key, d] : dedup_) n += d.seen.size();
+  return n;
 }
 
 void ReliableChannel::Cancel(uint64_t rel_id) {

@@ -7,16 +7,26 @@
 // one protocol node and the Network, assigns each outgoing message a
 // monotonic id, buffers it until the receiver acknowledges, and
 // retransmits on a sim-timer with exponential backoff plus deterministic
-// jitter. Receivers acknowledge every copy and deduplicate by (sender,
-// id), so the protocol above sees at-most-once delivery of each send.
+// jitter. Receivers deduplicate by (sender, incarnation, id), so the
+// protocol above sees at-most-once delivery of each send.
+//
+// Acks ride in the message header (net::Message::ack_rel_id). A receiver
+// owes the ack of a first copy while the node handles it: the first
+// message the node sends back to that peer before its handler returns (a
+// reply, typically) carries it, and only if none does is it sent alone, on
+// an empty RelAck body, as the handler returns. So an ack never leaves
+// later than the dispatch that received the data, and a request parked by
+// a lock wait is still acked at once. A duplicate copy is acked alone at
+// once: the ack of the first copy was lost.
 //
 // Two deliberate departures from a real transport:
 //  * Retransmission is bounded by a per-message delivery deadline. The
 //    whole simulation runs to idle, so an unacked message must not retry
 //    forever; when the deadline passes the sender's on_timeout hook fires
 //    and the caller gets an explicit timeout instead of silent loss.
-//  * Acks ride the raw network (no ack-of-ack): a lost ack is repaired by
-//    the next retransmission of the data message itself.
+//  * Acks are never acked themselves: a lost ack (or a lost carrier) is
+//    repaired by the next retransmission of the data message, which the
+//    receiver acks as a duplicate.
 //
 // Crash-amnesia: message ids are salted with the sender's incarnation
 // (same idiom as NodeBase op ids), and every ack echoes the incarnation it
@@ -26,14 +36,18 @@
 // redelivery of an already-processed message — which is safe because every
 // routed handler is already duplicate-tolerant (the network duplicates
 // messages on its own via dup_prob).
+//
+// Dedup state stays bounded: every data copy carries the sender's lowest
+// unacked id (net::Message::rel_floor), and the receiver forgets the ids
+// of that sender incarnation below it, treating a late copy of one as a
+// duplicate.
 #ifndef VPART_NET_RELIABLE_CHANNEL_H_
 #define VPART_NET_RELIABLE_CHANNEL_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <utility>
 
 #include "common/rng.h"
@@ -53,8 +67,12 @@ struct ReliableConfig {
   /// pre-reliability behavior (no extra rng draws, no acks).
   bool enabled = false;
 
-  /// Delay before the first retransmission of an unacked message. Should
-  /// comfortably exceed one round trip (2δ) under fault-free delays.
+  /// Delay before the first retransmission of an unacked message. It is
+  /// below the worst fault-free round trip (2δ = 10 ms at the simulator's
+  /// 1–5 ms hop), so a slow ack can draw a spurious retransmit, which the
+  /// receiver acks as a duplicate. Raising it to 12 ms was measured on the
+  /// partition-heal benchmark: retransmits per commit halved, but 6% more
+  /// transactions failed.
   sim::Duration retransmit_initial = sim::Millis(8);
 
   /// Each further retransmission multiplies the delay by this factor...
@@ -80,14 +98,16 @@ struct ReliableConfig {
 };
 
 /// Per-channel counters, surfaced through ProtocolStats and campaign
-/// summaries (retransmits reported alongside fsyncs).
+/// summaries (retransmits reported alongside fsyncs). The registry also
+/// counts acks carried on other traffic (rel.acks_carried) and standalone
+/// RelAck messages (rel.ack_msgs).
 struct ReliableStats {
   uint64_t sends = 0;            // Messages entrusted to the channel.
   uint64_t retransmits = 0;      // Transmissions beyond each first one.
   uint64_t acks_received = 0;    // Acks matching a pending send.
   uint64_t stale_acks = 0;       // Acks for unknown ids / other incarnations.
   uint64_t delivered = 0;        // Data messages passed up to the node.
-  uint64_t dup_suppressed = 0;   // Data messages dropped by receiver dedup.
+  uint64_t dup_suppressed = 0;   // Data copies dropped by receiver dedup.
   uint64_t timed_out = 0;        // Sends abandoned at the delivery deadline.
 };
 
@@ -107,7 +127,7 @@ class ReliableChannel {
   using DeliverFn = std::function<void(const Message&)>;
   /// Fills header fields the owner piggybacks on outgoing traffic (its
   /// owed 2PC outcome acks) just before the channel hands a data message
-  /// or a RelAck to the transport.
+  /// or a standalone RelAck to the transport.
   using StampFn = std::function<void(Message&)>;
 
   /// `metrics`/`tracer`/`fdr` may be null (process-global fallbacks are
@@ -132,18 +152,27 @@ class ReliableChannel {
                 TimeoutFn on_timeout = nullptr, uint64_t trace = 0,
                 RetransmitFn on_retransmit = nullptr);
 
-  /// Consumes channel traffic. For a reliable data message (`rel_id` !=
-  /// 0): acks it, drops duplicates, and hands the first copy to `deliver`.
-  /// For a RelAck: settles the matching pending send. Returns false for a
-  /// raw message (caller dispatches it).
+  /// Consumes channel traffic. First settles the ack `m` carries in its
+  /// header, if any, whatever the body. Then, for a reliable data message
+  /// (`rel_id` != 0): acks a duplicate alone at once, and hands the first
+  /// copy to `deliver`, owing its ack to the first message sent back to
+  /// `m.src` (CarryAck) before `deliver` returns, or sending it alone
+  /// then. Returns false for a raw message other than a RelAck (the
+  /// caller dispatches it).
   bool HandleMessage(const Message& m, const DeliverFn& deliver);
+
+  /// Moves the ack owed to `m.dst`, if any, into `m`'s header. The
+  /// channel's own sends call it; the owner calls it on its raw sends so
+  /// that they carry the ack too.
+  void CarryAck(Message& m);
 
   /// Abandons one pending send: stops its retransmissions and forgets its
   /// on_timeout hook (copies already in flight may still arrive and be
-  /// acked; the late ack is simply stale). Callers use this when a quorum
-  /// operation completes before every polled copy replied — the leftover
-  /// requests must stop retrying a reply nobody will read. No-op for ids
-  /// already settled.
+  /// acked, the late ack simply stale, or be dropped as duplicates once a
+  /// later copy has raised the receiver's floor past them). Callers use
+  /// this when a quorum operation completes before every polled copy
+  /// replied — the leftover requests must stop retrying a reply nobody
+  /// will read. No-op for ids already settled.
   void Cancel(uint64_t rel_id);
 
   /// Cancels every retransmit timer and abandons pending sends without
@@ -166,6 +195,8 @@ class ReliableChannel {
 
   const ReliableStats& stats() const { return stats_; }
   size_t pending_count() const { return pending_.size(); }
+  /// Ids held by receiver dedup, over every sender.
+  size_t dedup_size() const;
 
  private:
   struct Pending {
@@ -180,9 +211,31 @@ class ReliableChannel {
     runtime::TimePoint last_tx = 0;  // when the latest copy went out
   };
 
+  /// Receiver dedup of one sender incarnation: ids below `floor` are all
+  /// settled at the sender; `seen` holds the delivered ids at or above it.
+  struct Dedup {
+    uint64_t floor = 0;
+    std::set<uint64_t> seen;
+  };
+
+  /// The ack of the data message being delivered, owed to its sender.
+  /// rel_id 0 = none.
+  struct OwedAck {
+    ProcessorId peer = kInvalidProcessor;
+    uint64_t rel_id = 0;
+    uint32_t incarnation = 0;
+    uint64_t trace = 0;
+  };
+
   void ArmTimer(uint64_t rel_id);
   void OnTimer(uint64_t rel_id);
   runtime::Duration Jittered(runtime::Duration d);
+  /// Settles the pending send an ack names, or counts the ack as stale.
+  void SettleAck(uint64_t rel_id, uint32_t incarnation);
+  /// Records `m` in its sender's dedup state; false for a duplicate.
+  bool FirstCopy(const Message& m);
+  /// Sends `ack` alone, on an empty RelAck body.
+  void SendAck(const OwedAck& ack);
 
   runtime::Clock* const clock_;
   runtime::Executor* const executor_;
@@ -194,10 +247,11 @@ class ReliableChannel {
 
   uint64_t next_rel_id_;
   std::map<uint64_t, Pending> pending_;
-  /// Receiver dedup: ids already delivered, per sender. Senders salt ids
-  /// with their incarnation, so entries from a peer's previous life can
-  /// never collide with its next one.
-  std::unordered_map<ProcessorId, std::unordered_set<uint64_t>> seen_;
+  /// Receiver dedup, per (sender, sender incarnation). Keyed by
+  /// incarnation so that a rebooted sender's floor never swallows the
+  /// orphaned sends of its previous life that are still retransmitting.
+  std::map<std::pair<ProcessorId, uint32_t>, Dedup> dedup_;
+  OwedAck owed_;
   ReliableStats stats_;
   StampFn stamp_;
 
@@ -210,6 +264,8 @@ class ReliableChannel {
   obs::Counter* ctr_delivered_;
   obs::Counter* ctr_dups_;
   obs::Counter* ctr_timed_out_;
+  obs::Counter* ctr_acks_carried_;
+  obs::Counter* ctr_ack_msgs_;
 };
 
 }  // namespace vp::net

@@ -1,7 +1,7 @@
 // Unit tests of the shared transaction machinery (NodeBase): decision
-// semantics, outcome broadcast retries and their piggybacked acks, presumed
-// abort, and in-doubt resolution — driven through live clusters with
-// surgical link control.
+// semantics, outcome broadcast retries and their piggybacked acks, the
+// reliable channel's acks carried on replies, presumed abort, and in-doubt
+// resolution — driven through live clusters with surgical link control.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -425,6 +425,89 @@ TEST(OutcomeAcks, ParticipantCrashWhileOwingAcksResolvesByOutcomeRetry) {
   // The coordinator retried until the recovered p1 acked again.
   EXPECT_GT(SentOfType<core::msg::TxnOutcomeMsg>(cluster), 2u);
   EXPECT_EQ(cluster.store(1).Read(0).value().value, "owed");
+}
+
+// --- Reliable-channel acks ride on the reply ---
+
+ClusterConfig ReliableCfg(uint64_t seed) {
+  ClusterConfig c = Cfg(seed);
+  c.reliable.enabled = true;
+  // Every hop 1 ms: a round trip stays inside the first retransmit delay,
+  // so any retransmission below means an ack left late.
+  c.net.min_delay = sim::Millis(1);
+  c.net.max_delay = sim::Millis(1);
+  return c;
+}
+
+/// Counts the standalone reliable-channel acks delivered to `p`, and
+/// forwards everything.
+class RelAckTap : public net::NodeInterface {
+ public:
+  RelAckTap(Cluster* cluster, ProcessorId p) : cluster_(cluster), p_(p) {
+    cluster_->network().Register(p_, this);
+  }
+  void HandleMessage(const net::Message& m) override {
+    if (std::holds_alternative<core::msg::RelAck>(m.body)) ++acks_;
+    cluster_->node(p_).HandleMessage(m);
+  }
+  uint64_t acks() const { return acks_; }
+
+ private:
+  Cluster* cluster_;
+  ProcessorId p_;
+  uint64_t acks_ = 0;
+};
+
+TEST(RelAcks, InlineServedRequestSendsNoStandaloneAck) {
+  Cluster cluster(ReliableCfg(14));
+  cluster.RunFor(sim::Seconds(1));
+  RelAckTap tap(&cluster, 0);
+  const uint64_t carried = Counter(cluster, "rel.acks_carried");
+  core::NodeBase& node = cluster.node(0);
+  const TxnId txn = node.NewTxnId();
+  node.Begin(txn);
+  bool written = false;
+  node.LogicalWrite(txn, 0, "inline", [&](Status s) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    written = true;
+  });
+  cluster.RunFor(sim::Millis(20));
+  ASSERT_TRUE(written);
+  // p1 and p2 served the write at once; each reply carried the ack.
+  EXPECT_EQ(tap.acks(), 0u);
+  EXPECT_EQ(Counter(cluster, "rel.acks_carried") - carried, 2u);
+  EXPECT_EQ(node.stats().rel_retransmits, 0u);
+  node.Commit(txn, [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(100));
+  EXPECT_EQ(cluster.store(2).Read(0).value().value, "inline");
+}
+
+TEST(RelAcks, RequestParkedOnALockIsAckedAtOnce) {
+  // p2 holds the write lock of object 0 everywhere; p0's write then waits
+  // at each copy. The channel must ack the parked requests in the dispatch
+  // that received them: an ack held back for the reply would leave p0
+  // retransmitting every few milliseconds of the wait.
+  Cluster cluster(ReliableCfg(15));
+  cluster.RunFor(sim::Seconds(1));
+  core::NodeBase& holder = cluster.node(2);
+  const TxnId blocker = holder.NewTxnId();
+  holder.Begin(blocker);
+  holder.LogicalWrite(blocker, 0, "first",
+                      [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(20));
+  ASSERT_TRUE(cluster.store(1).HasStage(0));
+
+  RelAckTap tap(&cluster, 0);
+  core::NodeBase& node = cluster.node(0);
+  const uint64_t retransmits = node.stats().rel_retransmits;
+  const TxnId txn = node.NewTxnId();
+  node.Begin(txn);
+  bool done = false;
+  node.LogicalWrite(txn, 0, "second", [&](Status) { done = true; });
+  cluster.RunFor(sim::Millis(50));
+  EXPECT_FALSE(done);  // Still waiting for the lock.
+  EXPECT_EQ(tap.acks(), 2u);  // p1's and p2's, each alone.
+  EXPECT_EQ(node.stats().rel_retransmits - retransmits, 0u);
 }
 
 TEST(NodeBase, TxnIdsAreUniquePerNode) {

@@ -1,10 +1,13 @@
 // Tests for the reliable-delivery layer (net/reliable_channel.h): ack and
 // dedup idempotence under duplication, retransmission repairing loss and
 // reordering, the backoff schedule and delivery deadline, incarnation-aware
-// acks, crash-amnesia interaction, nemesis determinism with retries, and
-// the harsh-seed regression the layer exists to fix.
+// acks, acks carried on replies, bounded dedup state, crash-amnesia
+// interaction, nemesis determinism with retries, and the harsh-seed
+// regression the layer exists to fix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,19 +36,29 @@ core::msg::Probe Payload(uint64_t seq) {
 }
 
 /// A bare network endpoint owning one channel; reliable deliveries land in
-/// `inbox`, anything the channel does not consume in `raw`.
+/// `inbox`, anything the channel does not consume in `raw`. `on_deliver`,
+/// if set, runs on each delivery (a reply, say). The first `drop_next`
+/// arrivals are dropped, as if lost on the wire.
 struct Endpoint : public net::NodeInterface {
   ReliableChannel channel;
   std::vector<Message> inbox;
   std::vector<Message> raw;
+  std::function<void(const Message&)> on_deliver;
+  int drop_next = 0;
 
   Endpoint(runtime::SimRuntime* rt, ProcessorId id, uint32_t inc,
            ReliableConfig cfg)
       : channel(rt->clock(), rt->executor(), rt->transport(), id, inc, cfg) {}
 
   void HandleMessage(const Message& m) override {
-    const bool consumed = channel.HandleMessage(
-        m, [this](const Message& inner) { inbox.push_back(inner); });
+    if (drop_next > 0) {
+      --drop_next;
+      return;
+    }
+    const bool consumed = channel.HandleMessage(m, [this](const Message& in) {
+      inbox.push_back(in);
+      if (on_deliver) on_deliver(in);
+    });
     if (!consumed) raw.push_back(m);
   }
 };
@@ -152,18 +165,165 @@ TEST(ReliableChannel, AcksFromAnotherIncarnationAreStale) {
   Message ack;
   ack.src = 1;
   ack.dst = 0;
+  ack.body = core::msg::RelAck{};
+  ack.ack_rel_id = rel_id;
   // An ack echoing the previous life's incarnation must not settle the
   // send of this one.
-  ack.body = core::msg::RelAck{rel_id, /*incarnation=*/1};
+  ack.ack_incarnation = 1;
   EXPECT_TRUE(reborn.HandleMessage(ack, [](const Message&) {}));
   EXPECT_EQ(reborn.pending_count(), 1u);
   EXPECT_EQ(reborn.stats().stale_acks, 1u);
 
-  ack.body = core::msg::RelAck{rel_id, /*incarnation=*/2};
+  // The same stale ack carried on a reply: the reply is handed up, the
+  // ack settles nothing.
+  Message reply;
+  reply.src = 1;
+  reply.dst = 0;
+  reply.body = Payload(1);
+  reply.rel_id = 1;
+  reply.rel_floor = 1;
+  reply.ack_rel_id = rel_id;
+  reply.ack_incarnation = 1;
+  int delivered = 0;
+  EXPECT_TRUE(reborn.HandleMessage(reply,
+                                   [&](const Message&) { ++delivered; }));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(reborn.pending_count(), 1u);
+  EXPECT_EQ(reborn.stats().stale_acks, 2u);
+
+  ack.ack_incarnation = 2;
   EXPECT_TRUE(reborn.HandleMessage(ack, [](const Message&) {}));
   EXPECT_EQ(reborn.pending_count(), 0u);
   EXPECT_EQ(reborn.stats().acks_received, 1u);
   reborn.Shutdown();
+}
+
+/// A lossless network whose every hop takes 1 ms: round trips stay well
+/// inside the first retransmit delay, so no retransmission is spurious.
+NetworkConfig FixedHop() {
+  NetworkConfig nc;
+  nc.min_delay = sim::Millis(1);
+  nc.max_delay = sim::Millis(1);
+  return nc;
+}
+
+/// Standalone acks the network has carried so far.
+uint64_t AckMsgs(Rig& rig) {
+  return rig.net.stats().sent_by_type[net::Body(core::msg::RelAck{}).index()];
+}
+
+/// Makes `e` answer each delivery through its channel, the way a node
+/// replies to a physical operation it serves inline.
+void ReplyInline(Endpoint& e) {
+  e.on_deliver = [&e](const Message& m) {
+    e.channel.Send(m.src, Payload(std::get<core::msg::Probe>(m.body).seq));
+  };
+}
+
+TEST(ReliableChannel, InlineReplyCarriesTheAck) {
+  Rig rig(FixedHop(), ReliableConfig{});
+  ReplyInline(rig.b);
+  constexpr int kRequests = 5;
+  for (int i = 0; i < kRequests; ++i) rig.a.channel.Send(1, Payload(i));
+  rig.sched.RunUntilIdle();
+
+  ASSERT_EQ(rig.b.inbox.size(), size_t{kRequests});
+  ASSERT_EQ(rig.a.inbox.size(), size_t{kRequests});
+  // Each reply carried its request's ack, so b sent no ack of its own; a
+  // acks each reply alone (it does not answer them).
+  EXPECT_EQ(AckMsgs(rig), uint64_t{kRequests});
+  for (const Message& reply : rig.a.inbox) EXPECT_NE(reply.ack_rel_id, 0u);
+  EXPECT_EQ(rig.a.channel.stats().acks_received, uint64_t{kRequests});
+  EXPECT_EQ(rig.b.channel.stats().acks_received, uint64_t{kRequests});
+  EXPECT_EQ(rig.a.channel.stats().retransmits, 0u);
+  EXPECT_EQ(rig.a.channel.pending_count(), 0u);
+  EXPECT_EQ(rig.b.channel.pending_count(), 0u);
+}
+
+TEST(ReliableChannel, DeliveryWithoutAReplyIsAckedAloneAtOnce) {
+  // b answers nothing within the dispatch (a request parked on a lock, as
+  // it were): its ack must still leave at once, not wait for a reply.
+  Rig rig(FixedHop(), ReliableConfig{});
+  rig.a.channel.Send(1, Payload(0));
+  rig.sched.RunUntil(rig.sched.Now() + sim::Millis(50));
+  ASSERT_EQ(rig.b.inbox.size(), 1u);
+  EXPECT_EQ(AckMsgs(rig), 1u);
+  EXPECT_EQ(rig.a.channel.stats().acks_received, 1u);
+  EXPECT_EQ(rig.a.channel.stats().retransmits, 0u);
+}
+
+TEST(ReliableChannel, LostReplyIsRepairedByTheRequestRetransmit) {
+  // The reply carrying the request's ack is lost. The request retransmits
+  // and is acked alone as a duplicate; the reply retransmits too, carrying
+  // the same ack again, and whichever of the two acks lands second is
+  // stale.
+  Rig rig(FixedHop(), ReliableConfig{});
+  ReplyInline(rig.b);
+  rig.a.drop_next = 1;
+  rig.a.channel.Send(1, Payload(7));
+  rig.sched.RunUntilIdle();
+
+  ASSERT_EQ(rig.b.inbox.size(), 1u);
+  ASSERT_EQ(rig.a.inbox.size(), 1u);
+  EXPECT_EQ(rig.a.channel.stats().retransmits, 1u);
+  EXPECT_EQ(rig.b.channel.stats().retransmits, 1u);
+  EXPECT_EQ(rig.b.channel.stats().dup_suppressed, 1u);
+  EXPECT_EQ(rig.a.channel.stats().acks_received, 1u);
+  EXPECT_EQ(rig.a.channel.stats().stale_acks, 1u);
+  EXPECT_EQ(rig.b.channel.stats().acks_received, 1u);
+  EXPECT_EQ(rig.a.channel.pending_count(), 0u);
+  EXPECT_EQ(rig.b.channel.pending_count(), 0u);
+}
+
+TEST(ReliableChannel, DedupForgetsIdsBelowTheSendersFloor) {
+  Rig rig(NetworkConfig{}, ReliableConfig{});
+  ReliableChannel& ch = rig.b.channel;
+  int delivered = 0;
+  auto deliver = [&](const Message&) { ++delivered; };
+  auto data = [](uint64_t id, uint32_t inc, uint64_t floor) {
+    Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.body = Payload(id);
+    m.rel_id = id;
+    m.rel_incarnation = inc;
+    m.rel_floor = floor;
+    return m;
+  };
+  ch.HandleMessage(data(5, 1, 5), deliver);
+  ch.HandleMessage(data(6, 1, 5), deliver);
+  EXPECT_EQ(ch.dedup_size(), 2u);
+  // The sender's floor passed both: they are forgotten, and a late copy
+  // of either (or of any lower id) is a duplicate, acked but not handed up.
+  ch.HandleMessage(data(9, 1, 9), deliver);
+  EXPECT_EQ(ch.dedup_size(), 1u);
+  ch.HandleMessage(data(5, 1, 5), deliver);
+  ch.HandleMessage(data(3, 1, 3), deliver);
+  EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(ch.stats().dup_suppressed, 2u);
+  // Another incarnation of the same sender keeps its own floor: the
+  // orphaned sends of a previous life still get through.
+  ch.HandleMessage(data(2, 0, 2), deliver);
+  EXPECT_EQ(delivered, 4);
+  rig.sched.RunUntilIdle();
+  EXPECT_EQ(AckMsgs(rig), 6u);  // Every copy acked.
+}
+
+TEST(ReliableChannel, DedupStateStaysBoundedOverManyAckedSends) {
+  Rig rig(NetworkConfig{}, ReliableConfig{});
+  constexpr int kBatches = 1000;
+  constexpr int kBatch = 100;
+  size_t most = 0;
+  for (int i = 0; i < kBatches; ++i) {
+    for (int j = 0; j < kBatch; ++j) rig.a.channel.Send(1, Payload(j));
+    rig.sched.RunUntilIdle();
+    most = std::max(most, rig.b.channel.dedup_size());
+  }
+  EXPECT_EQ(rig.b.channel.stats().delivered, uint64_t{kBatches * kBatch});
+  EXPECT_EQ(rig.a.channel.stats().acks_received,
+            uint64_t{kBatches * kBatch});
+  // Only ids at or above the sender's last floor stay: at most one batch.
+  EXPECT_LE(most, size_t{kBatch});
 }
 
 TEST(ReliableDelivery, SurvivesCrashAmnesiaAcrossInFlightRetransmits) {

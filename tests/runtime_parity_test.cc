@@ -35,6 +35,14 @@
 // moved once more because outcome retries now bypass the reliable channel
 // (only the first broadcast is retransmitted by it). Every re-captured run
 // was violation-free.
+//
+// The six harsh+reliable digests moved again when the reliable channel's
+// acks began riding in the header of the receiver's reply (a standalone
+// ack only when nothing goes back within the dispatch, sent after the
+// handler instead of before it), and the VP ones (all but smoke seed 14)
+// when a logical op's no-response timer stopped forming a new view once
+// the view it was issued in has been replaced, or no longer counts the
+// silent holder. Every re-captured run was violation-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -77,14 +85,14 @@ struct Golden {
 TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
   using harness::Protocol;
   const Golden kGolden[] = {
-      {3, Protocol::kVirtualPartition, false, false, 0x889eec24aacfc84bULL},
-      {3, Protocol::kVirtualPartition, true, true, 0x1b9519391d69ff05ULL},
-      {3, Protocol::kQuorum, true, true, 0x9d8983700c30dd6eULL},
-      {3, Protocol::kMajorityVoting, true, true, 0x9d8983700c30dd6eULL},
-      {438, Protocol::kVirtualPartition, false, false, 0x77c3df0a598a5ca1ULL},
-      {438, Protocol::kVirtualPartition, true, true, 0xe3c7492f67ec1b5bULL},
-      {438, Protocol::kQuorum, true, true, 0xd786981f06252372ULL},
-      {438, Protocol::kMajorityVoting, true, true, 0xd786981f06252372ULL},
+      {3, Protocol::kVirtualPartition, false, false, 0xe00eaab8e1d8a6ceULL},
+      {3, Protocol::kVirtualPartition, true, true, 0x0c3efe083a05113fULL},
+      {3, Protocol::kQuorum, true, true, 0x21ede95df13867d3ULL},
+      {3, Protocol::kMajorityVoting, true, true, 0x21ede95df13867d3ULL},
+      {438, Protocol::kVirtualPartition, false, false, 0x4ace29b8de548d26ULL},
+      {438, Protocol::kVirtualPartition, true, true, 0x305c56130b5ca749ULL},
+      {438, Protocol::kQuorum, true, true, 0x349cec3246bab2e2ULL},
+      {438, Protocol::kMajorityVoting, true, true, 0x349cec3246bab2e2ULL},
   };
   for (const Golden& g : kGolden) {
     EXPECT_EQ(DigestFor(g.seed, g.proto, g.harsh, g.reliable), g.digest)
@@ -96,15 +104,15 @@ TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
 
 TEST(RuntimeParity, SmokeSweepMatchesGoldenDigests) {
   const uint64_t kSmoke[25] = {
-      0x09bc77f3c388188fULL, 0x5071bfc45a90e33bULL, 0x1b15148e9363c27eULL,
-      0x889eec24aacfc84bULL, 0x07cd38781616d470ULL, 0xa2915883d9b69188ULL,
-      0xccfe738ba8fe88baULL, 0xc60278d0f7e31469ULL, 0x714e7e374a10267eULL,
-      0x17cfdfe4ef6862b7ULL, 0x92accbfd459907fbULL, 0x651e290d5e507108ULL,
-      0x6f79b981c77d492bULL, 0xa7c492a45e802d74ULL, 0x564fae9a7111b8e2ULL,
-      0xb4f14c8b395cd6b7ULL, 0x41edff0b864d2ad7ULL, 0x6f2f9f0323969059ULL,
-      0x95339e6ca15f0928ULL, 0x4f46d9fb3d079405ULL, 0x6d9a0be5c214d853ULL,
-      0xd1dc66f782212145ULL, 0xad888e949773ca63ULL, 0x919278777851e69aULL,
-      0x1679193c58ad1f5fULL,
+      0xc75e6d51663e4226ULL, 0x02d34aa2f9512fd0ULL, 0x43dfe0818428c825ULL,
+      0xe00eaab8e1d8a6ceULL, 0xe77ec280b4d826ecULL, 0x062d5b10df4e0d76ULL,
+      0x2a2a2b090fcce0f1ULL, 0x04974b9dd3cd255cULL, 0xc2f627aedc73970bULL,
+      0xe6fc45431b2ecebcULL, 0x0d223ce900635804ULL, 0x2616781bf6d3e4cbULL,
+      0xc2e1213ba59e5600ULL, 0xac15c93463f60a0eULL, 0x564fae9a7111b8e2ULL,
+      0x0cf897364db1421dULL, 0x4c7f84132c60fe37ULL, 0xcdd9cac0dfbb2bd6ULL,
+      0x4f1d6764f1c85018ULL, 0xce5ce8b1925eb4c2ULL, 0xf8e9d1f772d9f36aULL,
+      0x7368d8fa9d644930ULL, 0x3c62036cdcf64ea6ULL, 0x75bf58cf54a3990fULL,
+      0x7a71f71de81a75d8ULL,
   };
   for (uint64_t seed = 0; seed < 25; ++seed) {
     EXPECT_EQ(DigestFor(seed, harness::Protocol::kVirtualPartition,

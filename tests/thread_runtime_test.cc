@@ -519,6 +519,41 @@ TEST(ThreadProtocols, OutcomeAcksRideOnTrafficToTheCoordinator) {
   EXPECT_TRUE(cluster.Certify().ok);
 }
 
+TEST(ThreadProtocols, ReliableAcksRideOnTheReplies) {
+  // Back-to-back writes from one coordinator over the reliable channel:
+  // each participant serves the write at once, and its reply carries the
+  // channel's ack of the request. TSan watches the owed ack, which the
+  // receiving strand records, carries or sends alone.
+  using TC = harness::ThreadCluster;
+  harness::ThreadClusterConfig cfg;
+  cfg.n_processors = 3;
+  cfg.n_objects = 2;
+  cfg.protocol = harness::Protocol::kVirtualPartition;
+  cfg.reliable.enabled = true;
+  TC cluster(cfg);
+  constexpr uint64_t kTxns = 40;
+  uint64_t committed = 0;
+  // Early attempts may fail while the first view forms.
+  for (int attempt = 0; committed < kTxns && attempt < 2000; ++attempt) {
+    if (cluster.RunTxn(0, {TC::Write(0, std::to_string(committed))})
+            .committed) {
+      ++committed;
+    } else {
+      SleepMs(2);
+    }
+  }
+  ASSERT_EQ(committed, kTxns);
+  SleepMs(100);  // Every ack and outcome round settles.
+  cluster.Stop();
+  const obs::MetricsSnapshot snap = cluster.metrics().Snapshot();
+  // Two remote writes per transaction, each reply a carrier.
+  EXPECT_GE(snap.CounterValue("rel.acks_carried"), kTxns);
+  EXPECT_GT(snap.CounterValue("rel.ack_msgs"), 0u);
+  EXPECT_LT(snap.CounterValue("rel.ack_msgs"),
+            snap.CounterValue("rel.delivered"));
+  EXPECT_TRUE(cluster.Certify().ok);
+}
+
 TEST(ThreadProtocols, SameMembershipViewChangesFailOnlyInFlightTxns) {
   // Closed-loop clients while nodes keep re-forming the partition with the
   // same members (as a missed probe deadline does under CPU contention).

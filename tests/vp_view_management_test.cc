@@ -1,7 +1,8 @@
 // Message-level tests of the virtual-partition creation machinery
 // (Fig. 4-6): invitation contention, lost acceptances, lost commits,
 // monitor timeouts, stale messages, logical ops issued while a partition
-// forms, and the date-poll recovery mode.
+// forms, no-response timers that outlive their view, and the date-poll
+// recovery mode.
 // Raw protocol messages are injected through the network to exercise
 // paths that whole-cluster runs reach only probabilistically.
 #include <gtest/gtest.h>
@@ -232,6 +233,82 @@ TEST(VpFormation, OpParkedInAFormationThatEndsUnassignedFails) {
   cluster.RunFor(sim::Seconds(1));
   EXPECT_TRUE(node.assigned());
   EXPECT_TRUE(testutil::RunTxn(cluster, 1, {testutil::Read(0)}).committed);
+  EXPECT_TRUE(cluster.recorder().safety_violations().empty());
+}
+
+// --- No-response timers (Fig. 10 line 5, Fig. 11) ---
+
+/// Drops every physical write addressed to `p` and forwards the rest: a
+/// holder that answers probes but never the write.
+class DropPhysWrites : public net::NodeInterface {
+ public:
+  DropPhysWrites(Cluster* cluster, ProcessorId p)
+      : cluster_(cluster), p_(p) {
+    cluster_->network().Register(p_, this);
+  }
+  void HandleMessage(const net::Message& m) override {
+    if (std::holds_alternative<core::msg::PhysWrite>(m.body)) return;
+    cluster_->node(p_).HandleMessage(m);
+  }
+
+ private:
+  Cluster* cluster_;
+  ProcessorId p_;
+};
+
+TEST(VpNoResponse, TimerOfAnOpOutlivedByItsViewFormsNoNewView) {
+  // p2 is cut off just as p0 writes object 0, and p0 re-forms at once: the
+  // join excludes p2, and the write's transaction, bound to the old vp,
+  // can no longer commit (R4). When the write's no-response timer fires
+  // later, the view it suspected is gone and the silent holder is no
+  // longer in the view: nothing to re-form.
+  Cluster cluster(Cfg(3));
+  cluster.RunFor(sim::Seconds(1));
+  ASSERT_TRUE(cluster.VpConverged());
+  auto& node = cluster.vp_node(0);
+  cluster.graph().SetEdge(0, 2, false);
+  cluster.graph().SetEdge(1, 2, false);
+
+  testutil::TxnOutcome out;
+  testutil::StartScriptedTxn(node, {testutil::Write(0, "x")}, &out);
+  node.ForceCreateNewVp();
+  cluster.RunFor(sim::Millis(50));
+  ASSERT_TRUE(node.assigned());
+  ASSERT_EQ(node.view(), (std::set<ProcessorId>{0, 1}));
+  const VpId joined = node.cur_id();
+  const uint64_t created = node.stats().vp_creations_initiated;
+
+  // Past the timer (2δ + lock timeout after the write) and a probe round.
+  cluster.RunFor(sim::Millis(300));
+  ASSERT_TRUE(out.done);
+  EXPECT_FALSE(out.committed);
+  EXPECT_EQ(node.stats().vp_creations_initiated, created);
+  EXPECT_EQ(node.cur_id(), joined);
+  EXPECT_TRUE(cluster.recorder().safety_violations().empty());
+}
+
+TEST(VpNoResponse, SilentHolderStillInTheViewForcesAViewChange) {
+  // Negative control for the test above: p2 answers probes, so it stays in
+  // p0's view, but never answers the write. The timer fires in the view
+  // the write was issued in, with the silent holder in it: the view is
+  // suspect, and p0 re-forms.
+  Cluster cluster(Cfg(3));
+  cluster.RunFor(sim::Seconds(1));
+  ASSERT_TRUE(cluster.VpConverged());
+  auto& node = cluster.vp_node(0);
+  DropPhysWrites drop(&cluster, 2);
+  const VpId before = node.cur_id();
+  const uint64_t created = node.stats().vp_creations_initiated;
+
+  testutil::TxnOutcome out;
+  testutil::StartScriptedTxn(node, {testutil::Write(0, "x")}, &out);
+  cluster.RunFor(sim::Millis(300));
+  ASSERT_TRUE(out.done);
+  EXPECT_FALSE(out.committed);
+  EXPECT_TRUE(out.failure.IsTimeout()) << out.failure.ToString();
+  EXPECT_EQ(node.stats().vp_creations_initiated, created + 1);
+  EXPECT_LT(before, node.cur_id());
+  EXPECT_EQ(node.view(), (std::set<ProcessorId>{0, 1, 2}));
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
 }
 
