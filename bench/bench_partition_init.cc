@@ -5,7 +5,10 @@
 //                      previous partition,
 //   * kLogCatchup    — fetch only the missed write suffix.
 // We sweep the number of writes missed by the minority and the object
-// value size, reporting recovery messages, bytes moved, and log records.
+// value size, reporting recovery items, bytes moved, log records, and the
+// recovery messages on the wire (one request and one reply per holder per
+// recovering member per join, plus any item answered alone after a lock
+// wait).
 #include <cstdio>
 
 #include "bench_util.h"
@@ -22,8 +25,16 @@ struct InitCost {
   uint64_t fsyncs = 0;
   uint64_t wal_bytes = 0;
   uint64_t copy_persist_bytes = 0;
+  /// RecoveryRead + RecoveryReply messages sent, retransmissions included.
+  uint64_t wire_msgs = 0;
   bool healed_ok = false;
 };
+
+uint64_t RecoveryWireMsgs(harness::Cluster& cluster) {
+  const auto& by_type = cluster.network().stats().sent_by_type;
+  return by_type[net::Body(core::msg::RecoveryRead{}).index()] +
+         by_type[net::Body(core::msg::RecoveryReply{}).index()];
+}
 
 InitCost Measure(core::RecoveryMode mode, int missed_writes,
                  size_t value_size, uint64_t seed) {
@@ -43,6 +54,7 @@ InitCost Measure(core::RecoveryMode mode, int missed_writes,
   // split itself are visible alongside the heal's initialization cost.
   const auto stats_at_start = cluster.AggregateStats();
   const auto stable_at_start = cluster.AggregateStableStats();
+  const uint64_t wire_at_start = RecoveryWireMsgs(cluster);
   uint64_t bytes_at_start = 0;
   for (ProcessorId p = 0; p < 5; ++p)
     bytes_at_start += cluster.store(p).stats().recovery_bytes;
@@ -90,6 +102,7 @@ InitCost Measure(core::RecoveryMode mode, int missed_writes,
   cost.wal_bytes = stable_after.wal_bytes - stable_at_start.wal_bytes;
   cost.copy_persist_bytes =
       stable_after.copy_persist_bytes - stable_at_start.copy_persist_bytes;
+  cost.wire_msgs = RecoveryWireMsgs(cluster) - wire_at_start;
   cost.healed_ok = true;
   for (ProcessorId p = 0; p < 5; ++p) {
     if (missed_writes > 0 &&
@@ -120,7 +133,7 @@ void Main() {
       "hot object)\n\n");
   Table table({"mode", "missed writes", "value bytes", "value fetches",
                "date polls", "bytes moved", "log records", "skipped objs",
-               "fsyncs", "wal bytes", "copy bytes", "correct"});
+               "fsyncs", "wal bytes", "copy bytes", "correct", "messages"});
   struct Row {
     core::RecoveryMode mode;
     int missed;
@@ -144,7 +157,8 @@ void Main() {
                       std::to_string(c.fsyncs),
                       std::to_string(c.wal_bytes),
                       std::to_string(c.copy_persist_bytes),
-                      c.healed_ok ? "yes" : "NO"});
+                      c.healed_ok ? "yes" : "NO",
+                      std::to_string(c.wire_msgs)});
         rows.push_back(Row{mode, missed, sz, c});
       }
     }
@@ -170,6 +184,7 @@ void Main() {
       w.Field("wal_bytes", row.cost.wal_bytes);
       w.Field("copy_persist_bytes", row.cost.copy_persist_bytes);
       w.Field("correct", row.cost.healed_ok);
+      w.Field("messages", row.cost.wire_msgs);
       w.EndObject();
     }
     w.EndArray();

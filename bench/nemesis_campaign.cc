@@ -9,6 +9,7 @@
 //   nemesis_campaign --weighted-placements ...         # a²b copy geometries
 //   nemesis_campaign --protocol=quorum --harsh ...     # harsher knob menus
 //   nemesis_campaign --reliable ...                    # ack/retry delivery
+//   nemesis_campaign --recovery=log-catchup ...        # §6 R5 variant
 //   nemesis_campaign --reconfig --seeds=500            # reconfig storms
 //   nemesis_campaign --reconfig --no-epoch-gating ...  # ungated negative ctl
 //   nemesis_campaign --corruption --seeds=500          # bit rot / torn writes
@@ -246,6 +247,13 @@ int main(int argc, char** argv) {
                      value.c_str());
         return 2;
       }
+    } else if (ParseFlag(argv[i], "--recovery", &value)) {
+      if (!vp::core::RecoveryModeFromName(value,
+                                          &config.generator.recovery)) {
+        std::fprintf(stderr, "error: unknown recovery mode '%s'\n",
+                     value.c_str());
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
       config.shrink_failures = false;
     } else if (ParseFlag(argv[i], "--max-shrinks", &value)) {
@@ -273,6 +281,8 @@ int main(int argc, char** argv) {
                    "          [--amnesia] [--durability=retain|wal|nowal]\n"
                    "          [--weighted-placements] [--harsh] [--reliable]\n"
                    "          [--reconfig] [--no-epoch-gating]\n"
+                   "          [--recovery=full-read|previous-skip|"
+                   "log-catchup|date-poll]\n"
                    "          [--corruption] [--integrity=checksum|nochecksum]\n"
                    "          [--no-shrink] [--max-shrinks=N]\n"
                    "          [--shrink-budget=N] [--out-dir=DIR]\n"

@@ -1,5 +1,6 @@
 #include "core/node_base.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -343,15 +344,15 @@ void NodeBase::HandlePhysRead(const net::Message& m,
   if (MaybeDefer(m)) return;
   const ProcessorId reply_to = m.src;
   const uint64_t trace = m.trace;
-  if (!req.recovery && remote_outcomes_.count(req.txn) > 0) {
+  if (remote_outcomes_.count(req.txn) > 0) {
     // Duplicate/reordered request for an already-decided transaction.
     NackRead(reply_to, req.op_id, "stale-txn", trace);
     return;
   }
-  if (!req.recovery && EpochGated() && req.epoch != CurrentEpoch()) {
+  if (EpochGated() && req.epoch != CurrentEpoch()) {
     // Deterministic cross-epoch rejection: a transactional access from an
     // epoch this replica is not serving must never touch its copies.
-    // (Recovery reads are exempt — they are how a new epoch's copies are
+    // (R5's RecoveryRead is exempt — it is how a new epoch's copies are
     // brought current — and 2PC outcome traffic never passes through here,
     // so in-flight transactions still resolve across the boundary.)
     NackRead(reply_to, req.op_id,
@@ -360,7 +361,7 @@ void NodeBase::HandlePhysRead(const net::Message& m,
     return;
   }
   Status admit = ValidateAccess(req.txn, req.v, req.obj, req.footprint,
-                                req.recovery, /*is_write=*/false);
+                                /*is_recovery=*/false, /*is_write=*/false);
   if (!admit.ok()) {
     NackRead(reply_to, req.op_id, std::string(admit.message()), trace);
     return;
@@ -369,55 +370,40 @@ void NodeBase::HandlePhysRead(const net::Message& m,
     NackRead(reply_to, req.op_id, "no-copy", trace);
     return;
   }
-  const TxnId locker = req.recovery ? SyntheticTxnId() : req.txn;
   const ObjectId obj = req.obj;
   const uint64_t op_id = req.op_id;
   const TxnId txn = req.txn;
-  const bool recovery = req.recovery;
   const cc::LockMode mode =
       req.for_update ? cc::LockMode::kExclusive : cc::LockMode::kShared;
   const runtime::TimePoint wait_start = env_.clock->Now();
   env_.locks->Acquire(
-      locker, obj, mode, lock_timeout_,
-      [this, locker, obj, op_id, txn, recovery, reply_to, trace,
-       wait_start](Status s) {
+      txn, obj, mode, lock_timeout_,
+      [this, obj, op_id, txn, reply_to, trace, wait_start](Status s) {
         if (!s.ok()) {
           NackRead(reply_to, op_id, "lock-timeout", trace);
           return;
         }
-        if (!recovery && remote_outcomes_.count(txn) > 0) {
+        if (remote_outcomes_.count(txn) > 0) {
           // The outcome landed while this request waited for the lock.
-          env_.locks->ReleaseAll(locker);
+          env_.locks->ReleaseAll(txn);
           NackRead(reply_to, op_id, "stale-txn", trace);
           return;
         }
         auto version = env_.store->Read(obj);
         VP_CHECK(version.ok());
-        if (!recovery) {
-          // Read-your-own-writes: a transaction re-reading a copy it has
-          // staged a write on must see that staged value.
-          if (auto staged = env_.store->StagedValue(txn, obj);
-              staged.has_value()) {
-            version = *staged;
-          }
+        // Read-your-own-writes: a transaction re-reading a copy it has
+        // staged a write on must see that staged value.
+        if (auto staged = env_.store->StagedValue(txn, obj);
+            staged.has_value()) {
+          version = *staged;
         }
-        if (recovery) {
-          // Recovery reads release their lock immediately (§6 condition
-          // (3) is met by having waited for any write lock).
-          env_.locks->ReleaseAll(locker);
-        } else {
-          RemoteTxn& rt = remote_txns_[txn];
-          rt.coordinator = txn.coordinator;
-          rt.last_activity = env_.clock->Now();
-          env_.recorder->PhysicalOp(id_, txn, obj, /*is_write=*/false,
-                                    env_.clock->Now());
-        }
+        RemoteTxn& rt = remote_txns_[txn];
+        rt.coordinator = txn.coordinator;
+        rt.last_activity = env_.clock->Now();
+        env_.recorder->PhysicalOp(id_, txn, obj, /*is_write=*/false,
+                                  env_.clock->Now());
         ctr_phys_reads_served_->Increment();
-        // Recovery reads carry no transaction (the online probes must not
-        // key ordering rules on the synthetic lock holder), but their
-        // served value IS hashed: a rotted image served verbatim through
-        // copy-update is exactly what the durable-read probe exists for.
-        Fdr(obs::FdrKind::kPhysRead, recovery ? TxnId{} : txn, obj,
+        Fdr(obs::FdrKind::kPhysRead, txn, obj,
             obs::FlightRecorder::HashValue(version.value().value));
         SendPhys(reply_to,
                  msg::PhysReadReply{op_id, true, "", version.value().value,
@@ -500,34 +486,80 @@ void NodeBase::HandlePhysWrite(const net::Message& m,
       });
 }
 
-void NodeBase::HandleLogQuery(const net::Message& m,
-                              const msg::LogQuery& req) {
+void NodeBase::HandleRecoveryRead(const net::Message& m,
+                                  const msg::RecoveryRead& req) {
   if (MaybeDefer(m)) return;
-  Status admit = ValidateAccess(TxnId{}, req.v, req.obj, {},
-                                /*is_recovery=*/true, /*is_write=*/false);
   const ProcessorId reply_to = m.src;
-  if (!admit.ok() || !env_.store->HasCopy(req.obj)) {
-    SendPhys(reply_to, msg::LogReply{req.op_id, false, req.obj, {}});
-    return;
+  const uint64_t trace = m.trace;
+  // `open` while this dispatch runs: answers land in the shared reply.
+  // Once it closes, an answer goes alone.
+  struct Batch {
+    msg::RecoveryReply reply;
+    bool open = true;
+  };
+  auto batch = std::make_shared<Batch>();
+  auto answer = [this, batch, reply_to, trace](msg::RecoveryReply::Item a) {
+    if (batch->open) {
+      batch->reply.items.push_back(std::move(a));
+    } else {
+      SendPhys(reply_to, msg::RecoveryReply{{std::move(a)}}, nullptr, trace);
+    }
+  };
+  for (const msg::RecoveryRead::Item& item : req.items) {
+    Status admit = ValidateAccess(TxnId{}, req.v, item.obj, {},
+                                  /*is_recovery=*/true, /*is_write=*/false);
+    if (!admit.ok() || !env_.store->HasCopy(item.obj)) {
+      msg::RecoveryReply::Item nack;
+      nack.op_id = item.op_id;
+      nack.error = admit.ok() ? "no-copy" : std::string(admit.message());
+      answer(std::move(nack));
+      continue;
+    }
+    // The lock only waits out a staged write (§6 condition (3)): the item
+    // reads the committed version and releases at once.
+    const TxnId locker = SyntheticTxnId();
+    env_.locks->Acquire(
+        locker, item.obj, cc::LockMode::kShared, lock_timeout_,
+        [this, locker, item, answer](Status s) {
+          msg::RecoveryReply::Item a;
+          a.op_id = item.op_id;
+          a.ok = s.ok();
+          if (!s.ok()) {
+            a.error = "lock-timeout";
+            answer(std::move(a));
+            return;
+          }
+          auto version = env_.store->Read(item.obj);
+          VP_CHECK(version.ok());
+          a.date = version.value().date;
+          switch (item.want) {
+            case msg::RecoveryWant::kValue:
+              a.value = version.value().value;
+              ctr_phys_reads_served_->Increment();
+              // No transaction (the online probes must not key ordering
+              // rules on the synthetic lock holder), but the served value
+              // IS hashed: a rotted image served verbatim through
+              // copy-update is exactly what the durable-read probe is for.
+              Fdr(obs::FdrKind::kPhysRead, TxnId{}, item.obj,
+                  obs::FlightRecorder::HashValue(a.value));
+              break;
+            case msg::RecoveryWant::kLog:
+              for (const storage::LogRecord& r :
+                   env_.store->LogSince(item.obj, item.after)) {
+                a.records.emplace_back(r.date, r.value, r.txn);
+              }
+              break;
+            case msg::RecoveryWant::kDate:
+              break;
+          }
+          env_.locks->ReleaseAll(locker);
+          answer(std::move(a));
+        });
   }
-  const TxnId locker = SyntheticTxnId();
-  const ObjectId obj = req.obj;
-  const uint64_t op_id = req.op_id;
-  const VpId after = req.after;
-  env_.locks->Acquire(
-      locker, obj, cc::LockMode::kShared, lock_timeout_,
-      [this, locker, obj, op_id, after, reply_to](Status s) {
-        if (!s.ok()) {
-          SendPhys(reply_to, msg::LogReply{op_id, false, obj, {}});
-          return;
-        }
-        msg::LogReply reply{op_id, true, obj, {}};
-        for (const storage::LogRecord& r : env_.store->LogSince(obj, after)) {
-          reply.records.emplace_back(r.date, r.value, r.txn);
-        }
-        env_.locks->ReleaseAll(locker);
-        SendPhys(reply_to, std::move(reply));
-      });
+  batch->open = false;
+  if (!batch->reply.items.empty()) {
+    SendPhys(reply_to, std::move(batch->reply), nullptr, trace);
+  }
 }
 
 void NodeBase::ApplyOutcomeLocally(TxnId txn, bool committed) {
@@ -731,8 +763,8 @@ void NodeBase::Dispatch(const net::Message& m) {
     HandlePhysRead(m, *req);
   } else if (const auto* w = std::get_if<msg::PhysWrite>(&b)) {
     HandlePhysWrite(m, *w);
-  } else if (const auto* q = std::get_if<msg::LogQuery>(&b)) {
-    HandleLogQuery(m, *q);
+  } else if (const auto* rr = std::get_if<msg::RecoveryRead>(&b)) {
+    HandleRecoveryRead(m, *rr);
   } else if (const auto* o = std::get_if<msg::TxnOutcomeMsg>(&b)) {
     HandleTxnOutcome(m, *o);
   } else if (std::holds_alternative<msg::TxnOutcomeAck>(b)) {

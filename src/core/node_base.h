@@ -204,7 +204,11 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   // --- participant-side helpers ---
   void HandlePhysRead(const net::Message& m, const msg::PhysRead& req);
   void HandlePhysWrite(const net::Message& m, const msg::PhysWrite& req);
-  void HandleLogQuery(const net::Message& m, const msg::LogQuery& req);
+  /// Serves one recovering member's R5 request. Every item served within
+  /// this dispatch goes back in one reply; an item whose copy is
+  /// write-locked waits for its lock alone and is answered alone, so no
+  /// object's recovery waits on another object's lock.
+  void HandleRecoveryRead(const net::Message& m, const msg::RecoveryRead& req);
   void HandleTxnOutcome(const net::Message& m, const msg::TxnOutcomeMsg& body);
   void HandleTxnOutcomeAck(TxnId txn, ProcessorId from);
   void HandleTxnStatusQuery(const net::Message& m,

@@ -2,6 +2,8 @@
 #ifndef VPART_CORE_VP_CONFIG_H_
 #define VPART_CORE_VP_CONFIG_H_
 
+#include <string_view>
+
 #include "net/reliable_channel.h"
 #include "sim/time.h"
 
@@ -41,6 +43,34 @@ enum class RecoveryMode {
   /// same-previous split skip.
   kDatePoll,
 };
+
+/// Command-line names of the modes: "full-read", "previous-skip",
+/// "log-catchup", "date-poll".
+inline const char* RecoveryModeName(RecoveryMode mode) {
+  switch (mode) {
+    case RecoveryMode::kFullRead:
+      return "full-read";
+    case RecoveryMode::kPreviousSkip:
+      return "previous-skip";
+    case RecoveryMode::kLogCatchup:
+      return "log-catchup";
+    case RecoveryMode::kDatePoll:
+      return "date-poll";
+  }
+  return "?";
+}
+
+/// Inverse of RecoveryModeName; false for an unknown name.
+inline bool RecoveryModeFromName(std::string_view name, RecoveryMode* out) {
+  for (RecoveryMode m : {RecoveryMode::kFullRead, RecoveryMode::kPreviousSkip,
+                         RecoveryMode::kLogCatchup, RecoveryMode::kDatePoll}) {
+    if (name == RecoveryModeName(m)) {
+      *out = m;
+      return true;
+    }
+  }
+  return false;
+}
 
 struct VpConfig {
   /// δ: upper bound on one-hop message delay assumed by the protocol. The

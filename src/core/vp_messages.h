@@ -1,9 +1,11 @@
 // Wire messages of the virtual-partition protocol. Names follow the paper's
 // figures: "newvp" / "OK" / "commit" (Fig. 5-6), "probe" / "ack" (Fig. 7-8),
-// "read" / "write" and their replies (Fig. 9-12), plus the transaction-
-// outcome subprotocol that realizes atomic commitment of staged writes and
-// the reliable channel's ack. `Body` closes the set: every protocol (VP,
-// quorum consensus, the naive-view strawman) speaks only these messages.
+// "read" / "write" and their replies (Fig. 10-12), the partition-
+// initialization exchange (Fig. 9, one request per holder), plus the
+// transaction-outcome subprotocol that realizes atomic commitment of staged
+// writes and the reliable channel's ack. `Body` closes the set: every
+// protocol (VP, quorum consensus, the naive-view strawman) speaks only these
+// messages.
 #ifndef VPART_CORE_VP_MESSAGES_H_
 #define VPART_CORE_VP_MESSAGES_H_
 
@@ -68,21 +70,15 @@ struct ProbeAck {
 
 // ---- Physical access (Fig. 9-12) ----
 
-/// Physical read request. `recovery` marks Update-Copies-in-View reads
-/// (Fig. 9), which are served from the committed version without waiting
-/// for partition-initialization locks (but do wait for write locks, §6
-/// condition (3)).
+/// Physical read request of a transaction (R2's read-one).
 struct PhysRead {
   TxnId txn;
   ObjectId obj = kInvalidObject;
   VpId v;
-  /// Configuration epoch the issuing transaction runs under. Transactional
-  /// accesses from a different epoch are rejected deterministically
-  /// ("stale-epoch"/"future-epoch"); recovery reads are exempt — they are
-  /// the mechanism by which a new epoch's copies are brought current, and
-  /// they are already guarded by `v` and by copy dates.
+  /// Configuration epoch the issuing transaction runs under. Accesses from
+  /// a different epoch are rejected deterministically ("stale-epoch"/
+  /// "future-epoch").
   EpochId epoch = 0;
-  bool recovery = false;
   /// Acquire an exclusive (not shared) lock: used by quorum consensus's
   /// version poll, which precedes an intent to write.
   bool for_update = false;
@@ -124,40 +120,50 @@ struct PhysWriteReply {
   uint64_t lock_wait_us = 0;
 };
 
-/// Date-poll recovery (§6 "optimized search", value-fetch variant): ask a
-/// copy for its date only; the full value is fetched from the freshest
-/// copy afterwards.
-struct DateQuery {
-  ObjectId obj = kInvalidObject;
+// ---- Partition initialization (Fig. 9, R5, and the §6 variants) ----
+
+/// What one recovery item asks a holder for: the §6 mode, per object.
+enum class RecoveryWant : uint8_t {
+  kValue,  ///< The copy's value and date (§5 full read; date-poll fetch).
+  kLog,    ///< The writes committed since `after` (§6 optimization 2).
+  kDate,   ///< The date only (§6 optimized search).
+};
+
+/// One recovering member's R5 request to one holder: every object it
+/// initializes from that holder in this join. Items are served from the
+/// committed version, each under its own short shared lock, so a staged
+/// write resolves first (§6 condition (3)); they are exempt from epoch
+/// gating, being how a new epoch's copies are brought current.
+struct RecoveryRead {
+  struct Item {
+    ObjectId obj = kInvalidObject;
+    /// The recovering member's per-object recovery (PendingRecovery).
+    uint64_t op_id = 0;
+    RecoveryWant want = RecoveryWant::kValue;
+    /// kLog: the recovering copy's date.
+    VpId after;
+  };
   VpId v;
-  /// Informational (formation traffic is vp-id-gated, not epoch-gated).
-  EpochId epoch = 0;
-  uint64_t op_id = 0;
+  std::vector<Item> items;
 };
 
-struct DateReply {
-  uint64_t op_id = 0;
-  bool ok = false;
-  ObjectId obj = kInvalidObject;
-  VpId date;
-};
-
-/// §6 optimization 2: fetch the writes a copy missed since `after`.
-struct LogQuery {
-  ObjectId obj = kInvalidObject;
-  VpId after;
-  VpId v;
-  /// Informational (formation traffic is vp-id-gated, not epoch-gated).
-  EpochId epoch = 0;
-  uint64_t op_id = 0;
-};
-
-struct LogReply {
-  uint64_t op_id = 0;
-  bool ok = false;
-  ObjectId obj = kInvalidObject;
-  /// (date, value, txn) triples, ascending by date.
-  std::vector<std::tuple<VpId, Value, TxnId>> records;
+/// Answers to RecoveryRead items. The holder answers every item it serves
+/// within the dispatch that received the request in one reply; an item
+/// that waited for a write lock is answered alone, when its lock grants or
+/// times out.
+struct RecoveryReply {
+  struct Item {
+    uint64_t op_id = 0;
+    bool ok = false;
+    /// Failure reason when !ok: "wrong-vp", "no-copy", "lock-timeout".
+    std::string error;
+    VpId date;
+    /// kValue: the copy's value.
+    Value value;
+    /// kLog: (date, value, txn) triples, ascending by date.
+    std::vector<std::tuple<VpId, Value, TxnId>> records;
+  };
+  std::vector<Item> items;
 };
 
 // ---- Transaction outcome propagation ----
@@ -197,19 +203,18 @@ struct RelAck {};
 /// Every message body the system sends. net::Message carries one; handlers
 /// dispatch on the alternative.
 using Body = std::variant<NewVp, VpOk, VpCommit, Probe, ProbeAck, PhysRead,
-                          PhysReadReply, PhysWrite, PhysWriteReply, DateQuery,
-                          DateReply, LogQuery, LogReply, TxnOutcomeMsg,
+                          PhysReadReply, PhysWrite, PhysWriteReply,
+                          RecoveryRead, RecoveryReply, TxnOutcomeMsg,
                           TxnOutcomeAck, TxnStatusQuery, TxnStatusReply,
                           RelAck>;
 
 /// Wire name of each alternative, indexed by Body::index(). Logs, trace
 /// args and per-type counts use these.
 inline constexpr std::array<const char*, std::variant_size_v<Body>> kNames = {
-    "newvp",        "vp-ok",       "vp-commit",       "probe",
-    "probe-ack",    "read",        "read-reply",      "write",
-    "write-reply",  "date-query",  "date-reply",      "log-query",
-    "log-reply",    "txn-outcome", "txn-outcome-ack", "txn-status-q",
-    "txn-status-r", "rel-ack"};
+    "newvp",        "vp-ok",         "vp-commit",      "probe",
+    "probe-ack",    "read",          "read-reply",     "write",
+    "write-reply",  "recovery-read", "recovery-reply", "txn-outcome",
+    "txn-outcome-ack", "txn-status-q", "txn-status-r", "rel-ack"};
 
 inline const char* NameOf(const Body& body) { return kNames[body.index()]; }
 

@@ -25,6 +25,8 @@ VpNode::VpNode(ProcessorId id, NodeEnv env, VpConfig config)
   ctr_reconfigs_proposed_ = metrics_->counter("vp.reconfigs_proposed");
   ctr_reconfigs_committed_ = metrics_->counter("vp.reconfigs_committed");
   ctr_reconfigs_deferred_ = metrics_->counter("vp.reconfigs_deferred");
+  ctr_recovery_requests_ = metrics_->counter("vp.recovery_requests");
+  ctr_recovery_items_ = metrics_->counter("vp.recovery_items");
   gauge_epoch_ = metrics_->gauge("vp.epoch");
   hist_phys_read_us_ = metrics_->histogram("phys.read_us");
   hist_phys_write_us_ = metrics_->histogram("phys.write_us");
@@ -162,6 +164,7 @@ void VpNode::Depart() {
   if (!assigned_) return;
   assigned_ = false;
   ++join_generation_;
+  recovery_outbox_.clear();  // Items of the departed view's recoveries.
   env_.recorder->DepartVp(id_, env_.clock->Now());
   Fdr(obs::FdrKind::kViewDepart, TxnId{},
       obs::FlightRecorder::PackVpId(cur_id_));
@@ -644,17 +647,25 @@ void VpNode::StartUpdateCopies(const std::set<ObjectId>& was_dirty) {
           Unlock(obj);
         }
       }
+      FlushRecoveryReads();
       return;
     }
   }
 
   const std::vector<ObjectId> objs(locked_.begin(), locked_.end());
   for (ObjectId obj : objs) StartObjectRecovery(obj);
+  FlushRecoveryReads();
 }
 
 void VpNode::StartObjectRecovery(ObjectId obj) {
-  if (env_.placements != nullptr && env_.placements->LatestEpoch() > 0 &&
-      config_.recovery != RecoveryMode::kFullRead) {
+  msg::RecoveryWant want = msg::RecoveryWant::kValue;
+  if (config_.recovery == RecoveryMode::kLogCatchup) {
+    want = msg::RecoveryWant::kLog;
+  } else if (config_.recovery == RecoveryMode::kDatePoll) {
+    want = msg::RecoveryWant::kDate;
+  }
+  if (want != msg::RecoveryWant::kValue && env_.placements != nullptr &&
+      env_.placements->LatestEpoch() > 0) {
     // Once a reconfiguration has happened, the log/date shortcuts are only
     // sound against sources that saw every committed write of the object —
     // at an epoch boundary the freshest in-view copy may belong to a
@@ -669,21 +680,73 @@ void VpNode::StartObjectRecovery(ObjectId obj) {
       if (lview_.count(q) > 0) cur_in_view.insert(q);
     }
     if (fresh || RecoverySources(obj) != cur_in_view) {
-      RecoverObjectFullRead(obj);
+      want = msg::RecoveryWant::kValue;
+    }
+  }
+
+  const uint64_t op_id = next_op_id_++;
+  PendingRecovery rec;
+  rec.obj = obj;
+  rec.join_gen = join_generation_;
+  rec.want = want;
+  VpId after = kEpochDate;
+  if (want == msg::RecoveryWant::kValue) {
+    rec.awaiting = RecoverySources(obj);
+    // Self always qualifies: `obj` is locked, hence local, and a copy
+    // exists only because some epoch <= epoch_ placed it here.
+    VP_CHECK(!rec.awaiting.empty());
+  } else {
+    auto local = env_.store->Read(obj);
+    VP_CHECK(local.ok());
+    after = local.value().date;
+    rec.best_date = after;
+    rec.best_holder = id_;
+    for (ProcessorId q : CurrentPlacement().CopyHolders(obj)) {
+      if (q != id_ && lview_.count(q) > 0) rec.awaiting.insert(q);
+    }
+    if (rec.awaiting.empty()) {
+      // All in-view copies are local; nothing can be newer.
+      Unlock(obj);
       return;
     }
   }
-  switch (config_.recovery) {
-    case RecoveryMode::kLogCatchup:
-      RecoverObjectLogCatchup(obj);
-      break;
-    case RecoveryMode::kDatePoll:
-      RecoverObjectDatePoll(obj);
-      break;
-    case RecoveryMode::kFullRead:
-    case RecoveryMode::kPreviousSkip:
-      RecoverObjectFullRead(obj);
-      break;
+  recovery_by_object_[obj] = op_id;
+  const std::set<ProcessorId> targets = rec.awaiting;
+  rec.timeout_event = ArmRecoveryTimeout(op_id);
+  pending_recoveries_[op_id] = std::move(rec);
+
+  for (ProcessorId q : targets) {
+    if (want == msg::RecoveryWant::kDate) {
+      ++stats_.recovery_date_polls;
+    } else if (q != id_) {
+      ++stats_.recovery_reads_sent;
+    }
+    recovery_outbox_[q].push_back(
+        msg::RecoveryRead::Item{obj, op_id, want, after});
+  }
+}
+
+runtime::TaskId VpNode::ArmRecoveryTimeout(uint64_t op_id) {
+  return env_.executor->ScheduleAfter(
+      2 * config_.delta + config_.lock_timeout, [this, op_id]() {
+        RecoveryFailed(op_id);
+        FlushRecoveryReads();
+      });
+}
+
+void VpNode::FlushRecoveryReads() {
+  // Moved out first: a local holder answers inline, and a retry started by
+  // its answer queues (and flushes) items of its own.
+  std::map<ProcessorId, std::vector<msg::RecoveryRead::Item>> outbox =
+      std::move(recovery_outbox_);
+  recovery_outbox_.clear();
+  for (auto& [q, items] : outbox) {
+    if (q != id_) {
+      ctr_recovery_requests_->Increment();
+      ctr_recovery_items_->Add(items.size());
+    }
+    SendPhys(q, msg::RecoveryRead{cur_id_, std::move(items)}, nullptr,
+             view_trace_);
   }
 }
 
@@ -707,244 +770,79 @@ std::set<ProcessorId> VpNode::RecoverySources(ObjectId obj) const {
   return out;
 }
 
-void VpNode::RecoverObjectFullRead(ObjectId obj) {
-  const uint64_t op_id = next_op_id_++;
-  PendingRecovery rec;
-  rec.obj = obj;
-  rec.join_gen = join_generation_;
-  rec.awaiting = RecoverySources(obj);
-  // Self always qualifies: `obj` is locked, hence local, and a copy exists
-  // only because some epoch <= epoch_ placed it here.
-  VP_CHECK(!rec.awaiting.empty());
-  recovery_by_object_[obj] = op_id;
-  const std::set<ProcessorId> targets = rec.awaiting;
-  rec.timeout_event = env_.executor->ScheduleAfter(
-      2 * config_.delta + config_.lock_timeout,
-      [this, op_id]() { RecoveryFailed(op_id); });
-  pending_recoveries_[op_id] = std::move(rec);
-
-  for (ProcessorId q : targets) {
-    if (q != id_) ++stats_.recovery_reads_sent;
-    SendPhys(q,
-             msg::PhysRead{SyntheticTxnId(), obj, cur_id_, epoch_,
-                           /*recovery=*/true,
-                           /*for_update=*/false, op_id, {}},
-             nullptr, view_trace_);
+void VpNode::HandleRecoveryReply(const net::Message& m,
+                                 const msg::RecoveryReply& body) {
+  for (const msg::RecoveryReply::Item& item : body.items) {
+    HandleRecoveryItem(m.src, item);
   }
+  FlushRecoveryReads();
 }
 
-void VpNode::RecoverObjectLogCatchup(ObjectId obj) {
-  auto local = env_.store->Read(obj);
-  VP_CHECK(local.ok());
-  const VpId after = local.value().date;
-
-  const uint64_t op_id = next_op_id_++;
-  PendingRecovery rec;
-  rec.obj = obj;
-  rec.join_gen = join_generation_;
-  rec.log_mode = true;
-  for (ProcessorId q : CurrentPlacement().CopyHolders(obj)) {
-    if (q != id_ && lview_.count(q) > 0) rec.awaiting.insert(q);
-  }
-  if (rec.awaiting.empty()) {
-    // All in-view copies are local; nothing can be newer.
-    Unlock(obj);
-    return;
-  }
-  recovery_by_object_[obj] = op_id;
-  const std::set<ProcessorId> targets = rec.awaiting;
-  rec.timeout_event = env_.executor->ScheduleAfter(
-      2 * config_.delta + config_.lock_timeout,
-      [this, op_id]() { RecoveryFailed(op_id); });
-  pending_recoveries_[op_id] = std::move(rec);
-
-  for (ProcessorId q : targets) {
-    ++stats_.recovery_reads_sent;
-    SendPhys(q,
-             msg::LogQuery{obj, after, cur_id_, epoch_, op_id}, nullptr,
-             view_trace_);
-  }
-}
-
-void VpNode::RecoverObjectDatePoll(ObjectId obj) {
-  auto local = env_.store->Read(obj);
-  VP_CHECK(local.ok());
-
-  const uint64_t op_id = next_op_id_++;
-  PendingRecovery rec;
-  rec.obj = obj;
-  rec.join_gen = join_generation_;
-  rec.date_mode = true;
-  rec.best_date = local.value().date;
-  rec.best_holder = id_;
-  for (ProcessorId q : CurrentPlacement().CopyHolders(obj)) {
-    if (q != id_ && lview_.count(q) > 0) rec.awaiting.insert(q);
-  }
-  if (rec.awaiting.empty()) {
-    Unlock(obj);
-    return;
-  }
-  recovery_by_object_[obj] = op_id;
-  const std::set<ProcessorId> targets = rec.awaiting;
-  rec.timeout_event = env_.executor->ScheduleAfter(
-      2 * config_.delta + config_.lock_timeout,
-      [this, op_id]() { RecoveryFailed(op_id); });
-  pending_recoveries_[op_id] = std::move(rec);
-
-  for (ProcessorId q : targets) {
-    ++stats_.recovery_date_polls;
-    SendPhys(q, msg::DateQuery{obj, cur_id_, epoch_, op_id},
-             nullptr, view_trace_);
-  }
-}
-
-void VpNode::HandleDateQuery(const net::Message& m,
-                             const msg::DateQuery& req) {
-  if (MaybeDefer(m)) return;
-  Status admit = ValidateAccess(TxnId{}, req.v, req.obj, {},
-                                /*is_recovery=*/true, /*is_write=*/false);
-  const ProcessorId reply_to = m.src;
-  const uint64_t trace = m.trace;
-  if (!admit.ok() || !env_.store->HasCopy(req.obj)) {
-    SendPhys(reply_to,
-             msg::DateReply{req.op_id, false, req.obj, kEpochDate}, nullptr,
-             trace);
-    return;
-  }
-  // The §6 condition (3) lock discipline applies to date reads too: a
-  // staged (possibly committed-elsewhere) write must resolve first, or
-  // the date could under-report.
-  const TxnId locker = SyntheticTxnId();
-  const ObjectId obj = req.obj;
-  const uint64_t op_id = req.op_id;
-  env_.locks->Acquire(
-      locker, obj, cc::LockMode::kShared, lock_timeout_,
-      [this, locker, obj, op_id, reply_to, trace](Status s) {
-        if (!s.ok()) {
-          SendPhys(reply_to,
-                   msg::DateReply{op_id, false, obj, kEpochDate}, nullptr,
-                   trace);
-          return;
-        }
-        auto v = env_.store->Read(obj);
-        env_.locks->ReleaseAll(locker);
-        VP_CHECK(v.ok());
-        SendPhys(reply_to,
-                 msg::DateReply{op_id, true, obj, v.value().date}, nullptr,
-                 trace);
-      });
-}
-
-void VpNode::HandleDateReply(const net::Message& m,
-                             const msg::DateReply& body) {
-  auto it = pending_recoveries_.find(body.op_id);
-  if (it == pending_recoveries_.end()) return;
-  PendingRecovery& rec = it->second;
-  if (rec.join_gen != join_generation_) {
-    env_.executor->Cancel(rec.timeout_event);
-    UnindexRecovery(rec.obj, body.op_id);
-    pending_recoveries_.erase(it);
-    return;
-  }
-  if (!body.ok) {
-    RecoveryFailed(body.op_id);
-    return;
-  }
-  if (rec.best_date < body.date) {
-    rec.best_date = body.date;
-    rec.best_holder = m.src;
-  }
-  rec.awaiting.erase(m.src);
-  if (!rec.awaiting.empty()) return;
-
-  if (rec.best_holder == id_) {
-    // The local copy is already the freshest: no value fetch at all.
-    const ObjectId obj = rec.obj;
-    env_.executor->Cancel(rec.timeout_event);
-    pending_recoveries_.erase(it);
-    UnindexRecovery(obj, body.op_id);
-    Unlock(obj);
-    return;
-  }
-  // Phase 2: fetch the full value from the freshest copy only.
-  rec.fetching_value = true;
-  rec.awaiting = {rec.best_holder};
-  rec.have_value = false;
-  env_.executor->Cancel(rec.timeout_event);
-  rec.timeout_event = env_.executor->ScheduleAfter(
-      2 * config_.delta + config_.lock_timeout,
-      [this, op_id = body.op_id]() { RecoveryFailed(op_id); });
-  ++stats_.recovery_value_fetches;
-  ++stats_.recovery_reads_sent;
-  SendPhys(rec.best_holder,
-           msg::PhysRead{SyntheticTxnId(), rec.obj, cur_id_, epoch_,
-                         /*recovery=*/true,
-                         /*for_update=*/false, body.op_id, {}},
-           nullptr, view_trace_);
-}
-
-void VpNode::HandleRecoveryReadReply(uint64_t op_id, bool ok,
-                                     const Value& value, VpId date,
-                                     ProcessorId from,
-                                     const std::string& error) {
-  auto it = pending_recoveries_.find(op_id);
+void VpNode::HandleRecoveryItem(ProcessorId from,
+                                const msg::RecoveryReply::Item& item) {
+  auto it = pending_recoveries_.find(item.op_id);
   if (it == pending_recoveries_.end()) return;
   PendingRecovery& rec = it->second;
   if (rec.join_gen != join_generation_) {
     // Joined another partition meanwhile; this task is dead.
     env_.executor->Cancel(rec.timeout_event);
-    UnindexRecovery(rec.obj, op_id);
+    UnindexRecovery(rec.obj, item.op_id);
     pending_recoveries_.erase(it);
     return;
   }
-  if (!ok) {
-    if (error == "no-copy" && !rec.fetching_value) {
-      // A holder listed by a past epoch that never materialized its copy
-      // (added, then removed, without ever joining a view in between). Its
-      // miss is benign as long as some source delivers a value; every
-      // source missing means the view really is wrong.
-      rec.awaiting.erase(from);
-      if (!rec.awaiting.empty()) return;
-      if (rec.have_value) {
-        FinishRecovery(op_id);
-      } else {
-        RecoveryFailed(op_id);
-      }
+  if (!item.ok) {
+    // A holder listed by a past epoch that never materialized its copy
+    // (added, then removed, without ever joining a view in between) misses
+    // benignly as long as some source delivers a value; every source
+    // missing means the view really is wrong. Any other failure retries.
+    if (item.error != "no-copy" || rec.want != msg::RecoveryWant::kValue) {
+      RecoveryFailed(item.op_id);
       return;
     }
-    RecoveryFailed(op_id);
-    return;
+  } else {
+    switch (rec.want) {
+      case msg::RecoveryWant::kValue:
+        if (!rec.have_value || rec.best_date < item.date) {
+          rec.best_value = item.value;
+          rec.best_date = item.date;
+          rec.have_value = true;
+        }
+        break;
+      case msg::RecoveryWant::kLog: {
+        auto& suffix = rec.records_by_src[from];
+        for (const auto& [date, value, txn] : item.records) {
+          suffix.push_back(storage::LogRecord{date, value, txn});
+        }
+        break;
+      }
+      case msg::RecoveryWant::kDate:
+        if (rec.best_date < item.date) {
+          rec.best_date = item.date;
+          rec.best_holder = from;
+        }
+        break;
+    }
   }
   rec.awaiting.erase(from);
-  if (!rec.have_value || rec.best_date < date) {
-    rec.best_value = value;
-    rec.best_date = date;
-    rec.have_value = true;
+  if (!rec.awaiting.empty()) return;
+  if (rec.want == msg::RecoveryWant::kValue && !rec.have_value) {
+    RecoveryFailed(item.op_id);
+    return;
   }
-  if (rec.awaiting.empty()) FinishRecovery(op_id);
-}
-
-void VpNode::HandleLogReply(const net::Message& m,
-                            const msg::LogReply& body) {
-  auto it = pending_recoveries_.find(body.op_id);
-  if (it == pending_recoveries_.end()) return;
-  PendingRecovery& rec = it->second;
-  if (rec.join_gen != join_generation_) {
+  if (rec.want == msg::RecoveryWant::kDate && rec.best_holder != id_) {
+    // Date-poll phase 2: fetch the value from the freshest copy only (the
+    // local copy being freshest needs no fetch at all).
+    rec.want = msg::RecoveryWant::kValue;
+    rec.awaiting = {rec.best_holder};
     env_.executor->Cancel(rec.timeout_event);
-    UnindexRecovery(rec.obj, body.op_id);
-    pending_recoveries_.erase(it);
+    rec.timeout_event = ArmRecoveryTimeout(item.op_id);
+    ++stats_.recovery_value_fetches;
+    ++stats_.recovery_reads_sent;
+    recovery_outbox_[rec.best_holder].push_back(msg::RecoveryRead::Item{
+        rec.obj, item.op_id, msg::RecoveryWant::kValue, kEpochDate});
     return;
   }
-  if (!body.ok) {
-    RecoveryFailed(body.op_id);
-    return;
-  }
-  auto& suffix = rec.records_by_src[m.src];
-  for (const auto& [date, value, txn] : body.records) {
-    suffix.push_back(storage::LogRecord{date, value, txn});
-  }
-  rec.awaiting.erase(m.src);
-  if (rec.awaiting.empty()) FinishRecovery(body.op_id);
+  FinishRecovery(item.op_id);
 }
 
 void VpNode::UnindexRecovery(ObjectId obj, uint64_t op_id) {
@@ -965,7 +863,7 @@ void VpNode::FinishRecovery(uint64_t op_id) {
   // Fig. 9 lines 15-17: install only if still in the same partition.
   if (rec.join_gen != join_generation_ || !assigned_) return;
 
-  if (rec.log_mode) {
+  if (rec.want == msg::RecoveryWant::kLog) {
     // Pick the freshest source: the suffix whose final record carries the
     // greatest date (ties: the longest suffix). Suffixes are applied in
     // their original per-copy order because dates do not order writes
@@ -1006,7 +904,8 @@ void VpNode::RecoveryFailed(uint64_t op_id) {
   if (Crashed() || join_gen != join_generation_) return;
   // A recovery read can fail because the remote copy is write-locked by a
   // live transaction (§6 condition (3) makes it wait) rather than because
-  // the view is wrong. Retry a few times before concluding the latter.
+  // the view is wrong. Retry a few times before concluding the latter; the
+  // caller flushes the retry's items.
   if (recovery_retries_[obj] < kMaxRecoveryRetries) {
     ++recovery_retries_[obj];
     StartObjectRecovery(obj);
@@ -1151,8 +1050,8 @@ void VpNode::SendRead(uint64_t op_id, PendingRead pr,
   const ProcessorId target = pr.target;
   const TxnId txn = pr.txn;
   const uint64_t trace = pr.trace;
-  msg::PhysRead req{txn, pr.obj, cur_id_, epoch_, /*recovery=*/false,
-                    /*for_update=*/false, op_id, footprint};
+  msg::PhysRead req{txn, pr.obj, cur_id_, epoch_, /*for_update=*/false, op_id,
+                    footprint};
   pr.issued_vp = cur_id_;
   pending_reads_[op_id] = std::move(pr);
   SendPhys(target, std::move(req), nullptr, trace, RetransmitToPath(txn));
@@ -1302,19 +1201,15 @@ bool VpNode::MaybeDefer(const net::Message& m) {
   if (const auto* r = std::get_if<msg::PhysRead>(&m.body)) {
     v = r->v;
     obj = r->obj;
-    transactional = !r->recovery;
-    if (transactional) msg_epoch = r->epoch;
+    transactional = true;
+    msg_epoch = r->epoch;
   } else if (const auto* w = std::get_if<msg::PhysWrite>(&m.body)) {
     v = w->v;
     obj = w->obj;
     transactional = true;
     msg_epoch = w->epoch;
-  } else if (const auto* lq = std::get_if<msg::LogQuery>(&m.body)) {
-    v = lq->v;
-    obj = lq->obj;
-  } else if (const auto* dq = std::get_if<msg::DateQuery>(&m.body)) {
-    v = dq->v;
-    obj = dq->obj;
+  } else if (const auto* rr = std::get_if<msg::RecoveryRead>(&m.body)) {
+    v = rr->v;  // Parked whole, if at all.
   } else {
     return false;
   }
@@ -1398,8 +1293,6 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
     HandleProbeAck(*pa);
   } else if (const auto* rr = std::get_if<msg::PhysReadReply>(&b)) {
     const msg::PhysReadReply& body = *rr;
-    // A read reply resolves either a pending logical read or a pending
-    // recovery read.
     auto it = pending_reads_.find(body.op_id);
     if (it != pending_reads_.end()) {
       PendingRead pr = std::move(it->second);
@@ -1442,8 +1335,6 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
       }
       return true;
     }
-    HandleRecoveryReadReply(body.op_id, body.ok, body.value, body.date,
-                            m.src, body.error);
   } else if (const auto* wr = std::get_if<msg::PhysWriteReply>(&b)) {
     const msg::PhysWriteReply& body = *wr;
     auto it = pending_writes_.find(body.op_id);
@@ -1490,12 +1381,8 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
                         {{"obj", std::to_string(done.obj)}});
       done.cb(Status::Ok());
     }
-  } else if (const auto* lr = std::get_if<msg::LogReply>(&b)) {
-    HandleLogReply(m, *lr);
-  } else if (const auto* dq = std::get_if<msg::DateQuery>(&b)) {
-    HandleDateQuery(m, *dq);
-  } else if (const auto* dr = std::get_if<msg::DateReply>(&b)) {
-    HandleDateReply(m, *dr);
+  } else if (const auto* rr = std::get_if<msg::RecoveryReply>(&b)) {
+    HandleRecoveryReply(m, *rr);
   } else {
     return false;
   }

@@ -7,7 +7,8 @@
 //                                  OnMonitorTimeout()
 //   Fig. 7  Send-Probes          → ProbeTick() / FinishProbeRound()
 //   Fig. 8  Monitor-Probes       → HandleProbe()
-//   Fig. 9  Update-Copies-in-View→ StartUpdateCopies() et al.
+//   Fig. 9  Update-Copies-in-View→ StartUpdateCopies() et al., one
+//                                  RecoveryRead per holder per join
 //   Fig. 10 Logical-Read         → LogicalRead()
 //   Fig. 11 Logical-Write        → LogicalWrite()
 //   Fig. 12 Physical-Access      → NodeBase handlers + ValidateAccess/
@@ -143,23 +144,25 @@ class VpNode : public NodeBase {
 
   // --- R5: Update-Copies-in-View ---
   void StartUpdateCopies(const std::set<ObjectId>& was_dirty);
-  void RecoverObjectFullRead(ObjectId obj);
-  void RecoverObjectLogCatchup(ObjectId obj);
-  void RecoverObjectDatePoll(ObjectId obj);
-  void HandleDateQuery(const net::Message& m, const msg::DateQuery& req);
-  void HandleDateReply(const net::Message& m, const msg::DateReply& body);
-  /// Dispatches to the per-mode recovery start for `obj`.
+  /// Registers `obj`'s recovery in the configured mode (R5 or a §6
+  /// variant) and queues its items for the holders it polls. Items leave
+  /// at the next FlushRecoveryReads.
   void StartObjectRecovery(ObjectId obj);
+  /// Sends the queued items: one RecoveryRead per holder.
+  void FlushRecoveryReads();
+  /// Fails `op_id`'s recovery if no answer completes it in time.
+  runtime::TaskId ArmRecoveryTimeout(uint64_t op_id);
   /// In-view processors a full-read recovery of `obj` polls. With an epoch
   /// directory this is the union of `obj`'s holders over every epoch up to
   /// the current one: at an epoch boundary a freshly created copy has no
   /// current-epoch source that is up to date yet, and departing holders keep
   /// their (read-only) data precisely to serve these reads.
   std::set<ProcessorId> RecoverySources(ObjectId obj) const;
-  void HandleRecoveryReadReply(uint64_t op_id, bool ok, const Value& value,
-                               VpId date, ProcessorId from,
-                               const std::string& error);
-  void HandleLogReply(const net::Message& m, const msg::LogReply& body);
+  void HandleRecoveryReply(const net::Message& m,
+                           const msg::RecoveryReply& body);
+  /// Folds one holder's answer into its object's recovery.
+  void HandleRecoveryItem(ProcessorId from,
+                          const msg::RecoveryReply::Item& item);
   void FinishRecovery(uint64_t op_id);
   void RecoveryFailed(uint64_t op_id);
   /// Removes `op_id`'s entry from the by-object index — but only when the
@@ -286,6 +289,10 @@ class VpNode : public NodeBase {
   struct PendingRecovery {
     ObjectId obj = kInvalidObject;
     uint64_t join_gen = 0;
+    /// What the awaited holders are asked for. Date-poll starts at kDate
+    /// and, unless the local copy is freshest, moves to kValue to fetch
+    /// from `best_holder` alone.
+    msg::RecoveryWant want = msg::RecoveryWant::kValue;
     std::set<ProcessorId> awaiting;
     Value best_value;
     VpId best_date = kEpochDate;
@@ -293,17 +300,15 @@ class VpNode : public NodeBase {
     // Log-catchup mode: per-source suffixes. Dates do not order writes
     // WITHIN a partition, so suffixes must be applied in their original
     // per-copy order; FinishRecovery picks the freshest source.
-    bool log_mode = false;
     std::map<ProcessorId, std::vector<storage::LogRecord>> records_by_src;
-    // Date-poll mode: phase 1 collects dates only; phase 2 (if needed)
-    // fetches the value from `best_holder`.
-    bool date_mode = false;
-    bool fetching_value = false;
     ProcessorId best_holder = kInvalidProcessor;
     runtime::TaskId timeout_event = runtime::kInvalidTask;
   };
   std::map<uint64_t, PendingRecovery> pending_recoveries_;
   std::map<ObjectId, uint64_t> recovery_by_object_;
+  /// Recovery items queued per holder, not yet sent.
+  std::map<ProcessorId, std::vector<msg::RecoveryRead::Item>>
+      recovery_outbox_;
   /// Per-object recovery retry budget within the current join (lock waits
   /// can make individual recovery reads fail transiently).
   static constexpr int kMaxRecoveryRetries = 3;
@@ -336,6 +341,9 @@ class VpNode : public NodeBase {
   obs::Counter* ctr_reconfigs_proposed_ = nullptr;
   obs::Counter* ctr_reconfigs_committed_ = nullptr;
   obs::Counter* ctr_reconfigs_deferred_ = nullptr;
+  /// R5 requests sent to remote holders, and the items they carried.
+  obs::Counter* ctr_recovery_requests_ = nullptr;
+  obs::Counter* ctr_recovery_items_ = nullptr;
   obs::Gauge* gauge_epoch_ = nullptr;
   obs::Histogram* hist_phys_read_us_ = nullptr;
   obs::Histogram* hist_phys_write_us_ = nullptr;

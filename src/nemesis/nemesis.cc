@@ -149,6 +149,9 @@ std::string FaultPlan::ToText() const {
   if (integrity != storage::IntegrityMode::kChecksum) {
     out << "integrity " << storage::IntegrityModeName(integrity) << "\n";
   }
+  if (recovery != core::RecoveryMode::kPreviousSkip) {
+    out << "recovery " << core::RecoveryModeName(recovery) << "\n";
+  }
   for (const CopySpec& c : placement) {
     out << "copy " << c.obj << " " << c.proc << " " << c.weight << "\n";
   }
@@ -287,6 +290,12 @@ Result<FaultPlan> FaultPlan::FromText(const std::string& text) {
       int v = 0;
       fields >> v;
       plan.epoch_gating = v != 0;
+    } else if (key == "recovery") {
+      std::string name;
+      fields >> name;
+      if (!core::RecoveryModeFromName(name, &plan.recovery)) {
+        return bad("unknown recovery mode '" + name + "'");
+      }
     } else if (key == "copy") {
       FaultPlan::CopySpec c;
       uint32_t weight = 0;
@@ -500,6 +509,7 @@ FaultPlan GeneratePlan(uint64_t seed, const GeneratorConfig& cfg) {
   if (cfg.enable_amnesia) plan.durability = cfg.amnesia_durability;
   if (cfg.reliable) plan.reliable = true;  // Stamp only; no rng draw.
   if (cfg.enable_reconfig) plan.epoch_gating = cfg.epoch_gating;  // Stamp.
+  plan.recovery = cfg.recovery;  // Stamp only; no rng draw.
   if (cfg.enable_corruption) {
     plan.integrity = cfg.integrity;  // Stamp only; no rng draw.
     // Corruption only manifests through a reboot-from-device, so the plan
@@ -714,6 +724,7 @@ RunOutcome RunPlan(const FaultPlan& plan, const RunOptions& opts) {
   cfg.integrity = plan.integrity;
   cfg.reliable.enabled = plan.reliable;
   cfg.vp.epoch_gating = plan.epoch_gating;
+  cfg.vp.recovery = plan.recovery;
   cfg.tracing = opts.tracing || !opts.trace_out.empty();
   cfg.net.drop_prob = plan.drop_prob;
   cfg.net.slow_prob = plan.slow_prob;

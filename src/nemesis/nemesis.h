@@ -91,6 +91,11 @@ struct FaultPlan {
   /// files stay byte-identical.
   bool epoch_gating = true;
 
+  /// How the VP protocol initializes copies at a join (VpConfig::recovery).
+  /// Serialized only when non-default, so legacy plan files stay
+  /// byte-identical.
+  core::RecoveryMode recovery = core::RecoveryMode::kPreviousSkip;
+
   /// One weighted physical copy. An empty `placement` means full
   /// replication with unit weights.
   struct CopySpec {
@@ -161,6 +166,8 @@ struct GeneratorConfig {
   /// Integrity mode stamped onto plans when enable_corruption is set (no
   /// rng draw). kNoChecksum = the rot-serving negative control.
   storage::IntegrityMode integrity = storage::IntegrityMode::kChecksum;
+  /// Recovery mode stamped onto plans (no rng draw).
+  core::RecoveryMode recovery = core::RecoveryMode::kPreviousSkip;
 };
 
 /// Generates a randomized fault-storm plan. Pure function of (seed, cfg).

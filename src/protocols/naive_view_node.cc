@@ -67,8 +67,8 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
   // Registered before the send: a local copy replies inline.
   pending_reads_[op_id] = std::move(pr);
   SendPhys(target,
-           PhysRead{txn, obj, kEpochDate, /*epoch=*/0, /*recovery=*/false,
-                    /*for_update=*/false, op_id, {}},
+           PhysRead{txn, obj, kEpochDate, /*epoch=*/0, /*for_update=*/false,
+                    op_id, {}},
            [this, op_id, target]() {
              OnDeliveryTimeout(op_id, target, /*write_phase=*/false);
            },

@@ -111,7 +111,6 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
     const uint64_t rel_id =
         SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
-                          /*recovery=*/false,
                           /*for_update=*/false, op_id, {}},
                  [this, op_id, q]() {
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/false);
@@ -167,7 +166,6 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
     const uint64_t rel_id =
         SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
-                          /*recovery=*/false,
                           /*for_update=*/true, op_id, {}},
                  [this, op_id, q]() {
                    // Poll replies are read replies, so write_phase = false.

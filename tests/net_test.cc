@@ -303,10 +303,8 @@ TEST(WireType, NamesAreDistinctAndMatchTheTagStrings) {
       {PhysReadReply{}, "read-reply"},
       {PhysWrite{}, "write"},
       {PhysWriteReply{}, "write-reply"},
-      {DateQuery{}, "date-query"},
-      {DateReply{}, "date-reply"},
-      {LogQuery{}, "log-query"},
-      {LogReply{}, "log-reply"},
+      {RecoveryRead{}, "recovery-read"},
+      {RecoveryReply{}, "recovery-reply"},
       {TxnOutcomeMsg{}, "txn-outcome"},
       {TxnOutcomeAck{}, "txn-outcome-ack"},
       {TxnStatusQuery{}, "txn-status-q"},

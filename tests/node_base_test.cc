@@ -510,6 +510,86 @@ TEST(RelAcks, RequestParkedOnALockIsAckedAtOnce) {
   EXPECT_EQ(node.stats().rel_retransmits - retransmits, 0u);
 }
 
+// --- The R5 recovery exchange at the holder ---
+
+/// Records the recovery replies delivered to `p`, and forwards everything.
+class RecoveryReplyTap : public net::NodeInterface {
+ public:
+  RecoveryReplyTap(Cluster* cluster, ProcessorId p)
+      : cluster_(cluster), p_(p) {
+    cluster_->network().Register(p_, this);
+  }
+  void HandleMessage(const net::Message& m) override {
+    if (const auto* r = std::get_if<core::msg::RecoveryReply>(&m.body)) {
+      replies_.push_back(*r);
+    }
+    cluster_->node(p_).HandleMessage(m);
+  }
+  const std::vector<core::msg::RecoveryReply>& replies() const {
+    return replies_;
+  }
+
+ private:
+  Cluster* cluster_;
+  ProcessorId p_;
+  std::vector<core::msg::RecoveryReply> replies_;
+};
+
+TEST(RecoveryExchange, WriteLockedItemIsAnsweredAloneAfterTheOthers) {
+  // p2 reboots with an in-doubt prepare of object 0 re-staged from its
+  // WAL, so object 0 is write-locked there until the coordinator decides.
+  // A recovery request for objects 0-2 must not wait for that lock: the
+  // other two come back at once in one reply, object 0 alone afterwards.
+  ClusterConfig config = testutil::Cfg(3, 16, Protocol::kVirtualPartition,
+                                       /*n_objects=*/3);
+  config.durability = storage::DurabilityMode::kWal;
+  config.net.min_delay = sim::Millis(1);
+  config.net.max_delay = sim::Millis(1);
+  Cluster cluster(config);
+  cluster.RunFor(sim::Seconds(1));
+  core::NodeBase& coord = cluster.node(0);
+  const TxnId txn = coord.NewTxnId();
+  coord.Begin(txn);
+  coord.LogicalWrite(txn, 0, "in-doubt", [](Status s) { ASSERT_TRUE(s.ok()); });
+  cluster.RunFor(sim::Millis(10));
+  cluster.injector().CrashAmnesiaAt(cluster.scheduler().Now(), 2);
+  cluster.injector().RecoverAt(cluster.scheduler().Now() + sim::Millis(2), 2);
+  cluster.RunFor(sim::Millis(3));
+  ASSERT_EQ(cluster.stable(2).incarnation(), 1u);
+  ASSERT_TRUE(cluster.store(2).HasStage(0));
+
+  RecoveryReplyTap tap(&cluster, 1);
+  net::Message req;
+  req.src = 1;
+  req.dst = 2;
+  core::msg::RecoveryRead body;
+  body.v = cluster.vp_node(2).cur_id();
+  for (ObjectId obj = 0; obj < 3; ++obj) {
+    body.items.push_back({obj, 900 + obj, core::msg::RecoveryWant::kValue, {}});
+  }
+  req.body = body;
+  cluster.node(2).HandleMessage(req);
+  cluster.RunFor(sim::Millis(5));
+  ASSERT_EQ(tap.replies().size(), 1u);
+  ASSERT_EQ(tap.replies()[0].items.size(), 2u);
+  EXPECT_EQ(tap.replies()[0].items[0].op_id, 901u);
+  EXPECT_EQ(tap.replies()[0].items[1].op_id, 902u);
+  EXPECT_TRUE(tap.replies()[0].items[0].ok);
+  EXPECT_TRUE(tap.replies()[0].items[1].ok);
+  EXPECT_TRUE(cluster.store(2).HasStage(0));
+
+  Status commit = Status::Internal("callback not run");
+  coord.Commit(txn, [&](Status s) { commit = s; });
+  cluster.RunFor(sim::Millis(10));
+  ASSERT_TRUE(commit.ok()) << commit.ToString();
+  EXPECT_FALSE(cluster.store(2).HasStage(0));
+  ASSERT_EQ(tap.replies().size(), 2u);
+  ASSERT_EQ(tap.replies()[1].items.size(), 1u);
+  EXPECT_EQ(tap.replies()[1].items[0].op_id, 900u);
+  EXPECT_TRUE(tap.replies()[1].items[0].ok);
+  EXPECT_EQ(tap.replies()[1].items[0].value, "in-doubt");
+}
+
 TEST(NodeBase, TxnIdsAreUniquePerNode) {
   Cluster cluster(Cfg(8));
   auto& a = cluster.node(0);

@@ -43,6 +43,12 @@
 // when a logical op's no-response timer stopped forming a new view once
 // the view it was issued in has been replaced, or no longer counts the
 // silent holder. Every re-captured run was violation-free.
+//
+// The 29 VP digests moved again when R5 began sending one recovery request
+// per (recovering member, holder) per join, listing its objects, instead of
+// one read per (object, holder): far fewer messages, so every later delay
+// and drop draw moved. The four quorum and majority-voting digests did not
+// move. Every re-captured run was violation-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,12 +91,12 @@ struct Golden {
 TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
   using harness::Protocol;
   const Golden kGolden[] = {
-      {3, Protocol::kVirtualPartition, false, false, 0xe00eaab8e1d8a6ceULL},
-      {3, Protocol::kVirtualPartition, true, true, 0x0c3efe083a05113fULL},
+      {3, Protocol::kVirtualPartition, false, false, 0xb31b85df25bc01faULL},
+      {3, Protocol::kVirtualPartition, true, true, 0xb209d10811ef6f65ULL},
       {3, Protocol::kQuorum, true, true, 0x21ede95df13867d3ULL},
       {3, Protocol::kMajorityVoting, true, true, 0x21ede95df13867d3ULL},
-      {438, Protocol::kVirtualPartition, false, false, 0x4ace29b8de548d26ULL},
-      {438, Protocol::kVirtualPartition, true, true, 0x305c56130b5ca749ULL},
+      {438, Protocol::kVirtualPartition, false, false, 0x32268ed5a526cdcbULL},
+      {438, Protocol::kVirtualPartition, true, true, 0x8ee48750d9f55323ULL},
       {438, Protocol::kQuorum, true, true, 0x349cec3246bab2e2ULL},
       {438, Protocol::kMajorityVoting, true, true, 0x349cec3246bab2e2ULL},
   };
@@ -104,15 +110,15 @@ TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
 
 TEST(RuntimeParity, SmokeSweepMatchesGoldenDigests) {
   const uint64_t kSmoke[25] = {
-      0xc75e6d51663e4226ULL, 0x02d34aa2f9512fd0ULL, 0x43dfe0818428c825ULL,
-      0xe00eaab8e1d8a6ceULL, 0xe77ec280b4d826ecULL, 0x062d5b10df4e0d76ULL,
-      0x2a2a2b090fcce0f1ULL, 0x04974b9dd3cd255cULL, 0xc2f627aedc73970bULL,
-      0xe6fc45431b2ecebcULL, 0x0d223ce900635804ULL, 0x2616781bf6d3e4cbULL,
-      0xc2e1213ba59e5600ULL, 0xac15c93463f60a0eULL, 0x564fae9a7111b8e2ULL,
-      0x0cf897364db1421dULL, 0x4c7f84132c60fe37ULL, 0xcdd9cac0dfbb2bd6ULL,
-      0x4f1d6764f1c85018ULL, 0xce5ce8b1925eb4c2ULL, 0xf8e9d1f772d9f36aULL,
-      0x7368d8fa9d644930ULL, 0x3c62036cdcf64ea6ULL, 0x75bf58cf54a3990fULL,
-      0x7a71f71de81a75d8ULL,
+      0x939fb8eb761382adULL, 0x29afcb66df74ef8eULL, 0x2ab564e4372182faULL,
+      0xb31b85df25bc01faULL, 0xa16d1fa2f762eca3ULL, 0xf2ba123d807415c2ULL,
+      0x32663345f0029e8fULL, 0x915d5fbddb10a623ULL, 0xbc5e26e759e85d5aULL,
+      0x42f1cbbc2a1a3d39ULL, 0x17c54cc6f715f02eULL, 0x586e4d3defa74edfULL,
+      0x5ff48a65129a92ceULL, 0xe5ff6e476da476eeULL, 0xdd88df1fa1c1c946ULL,
+      0x7b18c3fafafbdb8eULL, 0x59e5ff7a6bc3d39fULL, 0xc053bb2fc8a8cccaULL,
+      0x91dda7671ebadd61ULL, 0x77be4732c93dbf2dULL, 0x2375ef1c46fb0804ULL,
+      0xa6822fa8b48bf972ULL, 0xc6f94f5b8e037e39ULL, 0xa4fdf231c9277d35ULL,
+      0xc8eece5b78ca699dULL,
   };
   for (uint64_t seed = 0; seed < 25; ++seed) {
     EXPECT_EQ(DigestFor(seed, harness::Protocol::kVirtualPartition,
