@@ -62,7 +62,7 @@ AbortResult RunOne(bool weakened, sim::Duration flap_period, uint64_t seed) {
   AbortResult out;
   out.committed = r.committed;
   out.aborted = r.aborted;
-  out.vp_joins = r.proto.vp_joins;
+  out.vp_joins = r.metrics.CounterValue("vp.joins");
   out.certified = r.certified_1sr;
   return out;
 }

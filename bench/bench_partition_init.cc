@@ -52,8 +52,7 @@ InitCost Measure(core::RecoveryMode mode, int missed_writes,
 
   // Measure from before the split so the §6 previous-skip savings on the
   // split itself are visible alongside the heal's initialization cost.
-  const auto stats_at_start = cluster.AggregateStats();
-  const auto stable_at_start = cluster.AggregateStableStats();
+  const obs::MetricsSnapshot at_start = cluster.metrics().Snapshot();
   const uint64_t wire_at_start = RecoveryWireMsgs(cluster);
   uint64_t bytes_at_start = 0;
   for (ProcessorId p = 0; p < 5; ++p)
@@ -76,32 +75,26 @@ InitCost Measure(core::RecoveryMode mode, int missed_writes,
     cluster.RunFor(sim::Millis(60));
   }
 
-  const auto stats_before = stats_at_start;
-  const uint64_t bytes_before = bytes_at_start;
-
   cluster.graph().Heal();
   cluster.RunFor(sim::Seconds(3));
 
-  const auto stats_after = cluster.AggregateStats();
-  const auto stable_after = cluster.AggregateStableStats();
+  const obs::MetricsSnapshot after = cluster.metrics().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - at_start.CounterValue(name);
+  };
   uint64_t bytes_after = 0;
   for (ProcessorId p = 0; p < 5; ++p)
     bytes_after += cluster.store(p).stats().recovery_bytes;
 
   InitCost cost;
-  cost.recovery_msgs =
-      stats_after.recovery_reads_sent - stats_before.recovery_reads_sent;
-  cost.date_polls =
-      stats_after.recovery_date_polls - stats_before.recovery_date_polls;
-  cost.recovery_bytes = bytes_after - bytes_before;
-  cost.log_records =
-      stats_after.recovery_log_records - stats_before.recovery_log_records;
-  cost.skipped_objects = stats_after.recovery_skipped_objects -
-                         stats_before.recovery_skipped_objects;
-  cost.fsyncs = stable_after.fsyncs - stable_at_start.fsyncs;
-  cost.wal_bytes = stable_after.wal_bytes - stable_at_start.wal_bytes;
-  cost.copy_persist_bytes =
-      stable_after.copy_persist_bytes - stable_at_start.copy_persist_bytes;
+  cost.recovery_msgs = delta("vp.recovery_reads_sent");
+  cost.date_polls = delta("vp.recovery_date_polls");
+  cost.recovery_bytes = bytes_after - bytes_at_start;
+  cost.log_records = delta("vp.recovery_log_records");
+  cost.skipped_objects = delta("vp.recovery_skipped_objects");
+  cost.fsyncs = delta("wal.fsyncs");
+  cost.wal_bytes = delta("wal.bytes");
+  cost.copy_persist_bytes = delta("storage.copy_persist_bytes");
   cost.wire_msgs = RecoveryWireMsgs(cluster) - wire_at_start;
   cost.healed_ok = true;
   for (ProcessorId p = 0; p < 5; ++p) {

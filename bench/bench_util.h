@@ -30,7 +30,6 @@ struct RunResult {
   uint64_t stale_reads = 0;
   bool certified_1sr = false;
   std::string certify_detail;
-  core::ProtocolStats proto;
   /// Snapshot of the cluster registry at the end of the run (cumulative
   /// since cluster construction, not windowed like the fields above).
   obs::MetricsSnapshot metrics;
@@ -64,15 +63,12 @@ inline RunResult RunWorkload(harness::Cluster& cluster,
       workload::MakeClients(nodes, cluster.runtime_view(),
                             cluster.placement().object_count(), opts.client);
 
-  const auto proto_before = cluster.AggregateStats();
-  const uint64_t remote_before =
-      cluster.metrics().Snapshot().CounterValue("net.msgs_remote");
+  const obs::MetricsSnapshot before = cluster.metrics().Snapshot();
   for (auto& c : clients) c->Start(sim::Millis(1));
   cluster.RunFor(opts.measure);
   for (auto& c : clients) c->Stop();
   cluster.RunFor(opts.drain);
 
-  const auto proto_after = cluster.AggregateStats();
   const auto agg = workload::Aggregate(clients);
 
   RunResult r;
@@ -86,13 +82,14 @@ inline RunResult RunWorkload(harness::Cluster& cluster,
           ? 0
           : sim::ToMillis(agg.total_commit_latency) /
                 static_cast<double>(agg.txns_committed);
-  r.phys_reads = proto_after.phys_reads_sent - proto_before.phys_reads_sent;
-  r.phys_writes =
-      proto_after.phys_writes_sent - proto_before.phys_writes_sent;
   r.metrics = cluster.metrics().Snapshot();
-  r.remote_msgs = r.metrics.CounterValue("net.msgs_remote") - remote_before;
+  auto delta = [&](const char* name) {
+    return r.metrics.CounterValue(name) - before.CounterValue(name);
+  };
+  r.phys_reads = delta("phys.reads_sent");
+  r.phys_writes = delta("phys.writes_sent");
+  r.remote_msgs = delta("net.msgs_remote");
   r.stale_reads = cluster.recorder().CountStaleReads();
-  r.proto = proto_after;
   if (opts.certify) {
     auto cert = cluster.Certify();
     r.certified_1sr = cert.ok;

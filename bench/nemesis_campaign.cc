@@ -89,29 +89,24 @@ void PrintOutcome(const RunOutcome& outcome) {
                 static_cast<unsigned long long>(outcome.reconfigs_committed),
                 outcome.final_epoch);
   }
-  if (outcome.stable.fsyncs > 0 || outcome.stable.reboots > 0) {
-    std::printf("  fsyncs        %llu\n",
-                static_cast<unsigned long long>(outcome.stable.fsyncs));
-    std::printf("  wal bytes     %llu\n",
-                static_cast<unsigned long long>(outcome.stable.wal_bytes));
+  auto counter = [&outcome](const char* name) {
+    return static_cast<unsigned long long>(
+        outcome.metrics.CounterValue(name));
+  };
+  if (counter("wal.fsyncs") > 0 || counter("storage.reboots") > 0) {
+    std::printf("  fsyncs        %llu\n", counter("wal.fsyncs"));
+    std::printf("  wal bytes     %llu\n", counter("wal.bytes"));
     std::printf("  copy bytes    %llu\n",
-                static_cast<unsigned long long>(
-                    outcome.stable.copy_persist_bytes));
-    std::printf("  wal replayed  %llu\n",
-                static_cast<unsigned long long>(
-                    outcome.stable.wal_replay_records));
-    std::printf("  reboots       %llu\n",
-                static_cast<unsigned long long>(outcome.stable.reboots));
-    if (outcome.stable.torn_truncated > 0 || outcome.stable.quarantined > 0 ||
-        outcome.stable.scrub_repairs > 0) {
-      std::printf("  torn trunc    %llu\n",
-                  static_cast<unsigned long long>(
-                      outcome.stable.torn_truncated));
-      std::printf("  quarantined   %llu\n",
-                  static_cast<unsigned long long>(outcome.stable.quarantined));
+                counter("storage.copy_persist_bytes"));
+    std::printf("  wal replayed  %llu\n", counter("wal.replay_records"));
+    std::printf("  reboots       %llu\n", counter("storage.reboots"));
+    if (counter("wal.torn_truncated") > 0 ||
+        counter("storage.quarantined") > 0 ||
+        counter("storage.scrub_repairs") > 0) {
+      std::printf("  torn trunc    %llu\n", counter("wal.torn_truncated"));
+      std::printf("  quarantined   %llu\n", counter("storage.quarantined"));
       std::printf("  scrub repairs %llu\n",
-                  static_cast<unsigned long long>(
-                      outcome.stable.scrub_repairs));
+                  counter("storage.scrub_repairs"));
     }
   }
   if (outcome.violation()) {

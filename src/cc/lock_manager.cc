@@ -26,12 +26,8 @@ void LockManager::Grant(ObjectId obj, Lock& lock, TxnId txn, LockMode mode) {
   lock.holders.insert(txn);
   if (mode == LockMode::kExclusive) lock.exclusive = true;
   txn_objects_[txn].insert(obj);
-  ++stats_.grants;
   ctr_grants_->Increment();
-  if (upgrade) {
-    ++stats_.upgrades;
-    ctr_upgrades_->Increment();
-  }
+  if (upgrade) ctr_upgrades_->Increment();
 }
 
 void LockManager::Acquire(TxnId txn, ObjectId obj, LockMode mode,
@@ -59,7 +55,6 @@ void LockManager::Acquire(TxnId txn, ObjectId obj, LockMode mode,
   }
 
   // Queue the request with a timeout.
-  ++stats_.waits;
   ctr_waits_->Increment();
   Request req;
   req.id = next_request_id_++;
@@ -78,7 +73,6 @@ void LockManager::Acquire(TxnId txn, ObjectId obj, LockMode mode,
         if (it == queue.end()) return;
         LockCallback cb2 = std::move(it->cb);
         queue.erase(it);
-        ++stats_.timeouts;
         ctr_timeouts_->Increment();
         PumpQueue(obj);
         cb2(Status::Timeout("lock wait timeout"));

@@ -30,20 +30,13 @@ enum class LockMode { kShared, kExclusive };
 /// queued; caller should abort the transaction).
 using LockCallback = std::function<void(Status)>;
 
-/// Lock-manager statistics.
-struct LockStats {
-  uint64_t grants = 0;
-  uint64_t waits = 0;      // Requests that had to queue.
-  uint64_t timeouts = 0;   // Requests that expired while queued.
-  uint64_t upgrades = 0;   // S→X upgrades granted.
-};
-
 /// Lock table for the copies stored at one processor.
 ///
 /// `clock` and `metrics` are optional observability hooks: with a clock the
 /// manager records each queued request's enqueue→grant latency into the
 /// "lock.wait_us" histogram; without one, wait times are simply not
-/// measured (counters still mirror into the process-global registry).
+/// measured. The lock.* counters go to `metrics`, or to the process-global
+/// registry when it is null.
 class LockManager {
  public:
   explicit LockManager(runtime::Executor* executor,
@@ -87,8 +80,6 @@ class LockManager {
   /// Transactions currently holding or waiting on any lock.
   size_t active_txns() const { return txn_objects_.size(); }
 
-  const LockStats& stats() const { return stats_; }
-
  private:
   struct Request {
     uint64_t id;
@@ -123,7 +114,6 @@ class LockManager {
   obs::Histogram* hist_wait_us_;
   std::unordered_map<ObjectId, Lock> locks_;
   std::unordered_map<TxnId, std::set<ObjectId>, TxnIdHash> txn_objects_;
-  LockStats stats_;
   uint64_t next_request_id_ = 1;
 };
 

@@ -26,6 +26,10 @@ NodeBase::NodeBase(ProcessorId id, NodeEnv env,
   ctr_phys_nacks_ = metrics_->counter("node.phys_nacks");
   ctr_acks_piggybacked_ = metrics_->counter("node.outcome_acks_piggybacked");
   ctr_ack_flushes_ = metrics_->counter("node.outcome_ack_flushes");
+  ctr_txns_aborted_ = metrics_->counter("node.txns_aborted");
+  ctr_reads_attempted_ = metrics_->counter("node.reads_attempted");
+  ctr_phys_reads_sent_ = metrics_->counter("phys.reads_sent");
+  ctr_phys_writes_sent_ = metrics_->counter("phys.writes_sent");
   owed_acks_.resize(env_.transport->size());
   hist_txn_us_ = metrics_->histogram("txn.duration_us");
   hist_outcome_ack_us_ = metrics_->histogram("txn.outcome_ack_us");
@@ -170,7 +174,6 @@ void NodeBase::Begin(TxnId txn) {
   rec.begun_at = env_.clock->Now();
   decisions_.MarkActive(txn);
   env_.recorder->TxnBegin(txn, id_, rec.begun_at);
-  ++stats_.txns_begun;
   tracer_->AsyncBegin(rec.trace, id_, rec.begun_at, "txn", "txn",
                       {{"txn", txn.ToString()}});
   Fdr(obs::FdrKind::kTxnBegin, txn, rec.epoch);
@@ -227,10 +230,9 @@ void NodeBase::Decide(TxnId txn, TxnRec* rec, bool committed) {
   rec->decided_at = env_.clock->Now();
   if (committed) {
     env_.recorder->TxnCommit(txn, rec->decided_at);
-    ++stats_.txns_committed;
   } else {
     env_.recorder->TxnAbort(txn, rec->decided_at);
-    ++stats_.txns_aborted;
+    ctr_txns_aborted_->Increment();
   }
   const uint64_t total_us =
       static_cast<uint64_t>(rec->decided_at - rec->begun_at);

@@ -95,16 +95,6 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void Abort(TxnId txn) override;
   void Commit(TxnId txn, CommitCallback cb) override;
   ProcessorId processor() const override { return id_; }
-  const ProtocolStats& stats() const override {
-    if (rel_ != nullptr) {
-      const net::ReliableStats& rs = rel_->stats();
-      stats_.rel_sends = rs.sends;
-      stats_.rel_retransmits = rs.retransmits;
-      stats_.rel_timeouts = rs.timed_out;
-      stats_.rel_dups_suppressed = rs.dup_suppressed;
-    }
-    return stats_;
-  }
 
   /// Allocates a fresh client transaction id coordinated here.
   TxnId NewTxnId() { return TxnId{id_, next_txn_seq_++}; }
@@ -346,12 +336,17 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   obs::Counter* ctr_phys_nacks_ = nullptr;
   obs::Counter* ctr_acks_piggybacked_ = nullptr;
   obs::Counter* ctr_ack_flushes_ = nullptr;
+  /// Transactions this node coordinated and decided to abort; logical
+  /// reads entered (before admission); and physical requests sent to copy
+  /// holders, self included: R2 retries and each R3 target count.
+  obs::Counter* ctr_txns_aborted_ = nullptr;
+  obs::Counter* ctr_reads_attempted_ = nullptr;
+  obs::Counter* ctr_phys_reads_sent_ = nullptr;
+  obs::Counter* ctr_phys_writes_sent_ = nullptr;
   obs::Histogram* hist_txn_us_ = nullptr;
   obs::Histogram* hist_outcome_ack_us_ = nullptr;
   obs::PathHistograms path_hists_;
 
-  /// Mutable: stats() refreshes the rel_* counters from the channel.
-  mutable ProtocolStats stats_;
   uint64_t next_txn_seq_ = 1;
   uint64_t synth_seq_ = 1;
   uint64_t next_op_id_ = 1;

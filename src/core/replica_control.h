@@ -14,7 +14,6 @@
 #ifndef VPART_CORE_REPLICA_CONTROL_H_
 #define VPART_CORE_REPLICA_CONTROL_H_
 
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -37,41 +36,6 @@ struct ReadResult {
 using ReadCallback = std::function<void(Result<ReadResult>)>;
 using WriteCallback = std::function<void(Status)>;
 using CommitCallback = std::function<void(Status)>;
-
-/// Per-node protocol counters, comparable across protocols.
-struct ProtocolStats {
-  uint64_t txns_begun = 0;
-  uint64_t txns_committed = 0;
-  uint64_t txns_aborted = 0;
-
-  uint64_t reads_attempted = 0;
-  uint64_t reads_ok = 0;
-  uint64_t reads_unavailable = 0;  // Rejected by the majority rule / quorum.
-  uint64_t reads_failed = 0;       // Timeout / conflict after acceptance.
-  uint64_t writes_attempted = 0;
-  uint64_t writes_ok = 0;
-  uint64_t writes_unavailable = 0;
-  uint64_t writes_failed = 0;
-
-  /// Physical accesses issued (messages to copy holders, self included).
-  uint64_t phys_reads_sent = 0;
-  uint64_t phys_writes_sent = 0;
-
-  /// Reliable-delivery channel counters (all zero when the layer is off).
-  uint64_t rel_sends = 0;            // Messages entrusted to the channel.
-  uint64_t rel_retransmits = 0;      // Transmissions beyond each first one.
-  uint64_t rel_timeouts = 0;         // Sends abandoned at their deadline.
-  uint64_t rel_dups_suppressed = 0;  // Duplicate reliable messages dropped.
-
-  /// VP protocol only.
-  uint64_t vp_creations_initiated = 0;
-  uint64_t vp_joins = 0;
-  uint64_t recovery_reads_sent = 0;
-  uint64_t recovery_skipped_objects = 0;  // §6 previous-vp optimization.
-  uint64_t recovery_log_records = 0;      // §6 missing-writes catch-up.
-  uint64_t recovery_date_polls = 0;       // Date-only recovery probes.
-  uint64_t recovery_value_fetches = 0;    // Full-value fetches (date-poll).
-};
 
 /// The protocol-independent face of a replicated-data-management node.
 class ReplicaControl {
@@ -105,8 +69,6 @@ class ReplicaControl {
 
   /// Protocol name for reports, e.g. "virtual-partition", "quorum(3,3)".
   virtual std::string name() const = 0;
-
-  virtual const ProtocolStats& stats() const = 0;
 };
 
 }  // namespace vp::core

@@ -4,7 +4,8 @@
 // reboot machinery, certification. Tests that only need "wired protocol
 // nodes on a deterministic substrate" can use TestEnv instead: it owns the
 // event kernel, communication graph, network, SimRuntime adapter,
-// placement, per-processor stores and lock managers, and the recorder.
+// placement, per-processor stores and lock managers, the recorder, and one
+// serial metrics registry that the network, lock managers and nodes share.
 // NodeEnv::ForTest(env, p) then yields a ready NodeEnv for constructing
 // any protocol node directly, with none of the per-test wiring that used
 // to be copy-pasted across test files.
@@ -19,6 +20,7 @@
 #include "history/recorder.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 #include "runtime/sim_runtime.h"
 #include "sim/scheduler.h"
 #include "storage/placement.h"
@@ -45,12 +47,13 @@ class TestEnv {
         placement_(storage::CopyPlacement::FullReplication(
             opts.n_processors, opts.n_objects)),
         placements_(placement_) {
+    network_.AttachMetrics(&metrics_);
     stores_.reserve(opts.n_processors);
     locks_.reserve(opts.n_processors);
     for (ProcessorId p = 0; p < opts.n_processors; ++p) {
       stores_.push_back(std::make_unique<storage::ReplicaStore>());
-      locks_.push_back(
-          std::make_unique<cc::LockManager>(runtime_.executor()));
+      locks_.push_back(std::make_unique<cc::LockManager>(
+          runtime_.executor(), runtime_.clock(), &metrics_));
       for (ObjectId obj : placement_.LocalObjects(p)) {
         stores_[p]->CreateCopy(obj, opts.initial_value, kEpochDate);
       }
@@ -72,6 +75,7 @@ class TestEnv {
     env.store = stores_[p].get();
     env.locks = locks_[p].get();
     env.recorder = &recorder_;
+    env.metrics = &metrics_;
     return env;
   }
 
@@ -80,6 +84,7 @@ class TestEnv {
   net::Network& network() { return network_; }
   runtime::SimRuntime& runtime() { return runtime_; }
   history::Recorder& recorder() { return recorder_; }
+  obs::MetricsRegistry& metrics() { return metrics_; }
   storage::ReplicaStore& store(ProcessorId p) { return *stores_[p]; }
   cc::LockManager& locks(ProcessorId p) { return *locks_[p]; }
   const storage::CopyPlacement& placement() const { return placement_; }
@@ -91,6 +96,8 @@ class TestEnv {
 
  private:
   const Options opts_;
+  /// Declared before every component that caches counter handles.
+  obs::MetricsRegistry metrics_{obs::RegistryMode::kSerial};
   sim::Scheduler scheduler_;
   net::CommGraph graph_;
   net::Network network_;

@@ -27,6 +27,14 @@ VpNode::VpNode(ProcessorId id, NodeEnv env, VpConfig config)
   ctr_reconfigs_deferred_ = metrics_->counter("vp.reconfigs_deferred");
   ctr_recovery_requests_ = metrics_->counter("vp.recovery_requests");
   ctr_recovery_items_ = metrics_->counter("vp.recovery_items");
+  ctr_creations_initiated_ = metrics_->counter("vp.creations_initiated");
+  ctr_joins_ = metrics_->counter("vp.joins");
+  ctr_recovery_reads_sent_ = metrics_->counter("vp.recovery_reads_sent");
+  ctr_recovery_skipped_ = metrics_->counter("vp.recovery_skipped_objects");
+  ctr_recovery_log_records_ = metrics_->counter("vp.recovery_log_records");
+  ctr_recovery_date_polls_ = metrics_->counter("vp.recovery_date_polls");
+  ctr_recovery_value_fetches_ =
+      metrics_->counter("vp.recovery_value_fetches");
   gauge_epoch_ = metrics_->gauge("vp.epoch");
   hist_phys_read_us_ = metrics_->histogram("phys.read_us");
   hist_phys_write_us_ = metrics_->histogram("phys.write_us");
@@ -171,7 +179,7 @@ void VpNode::Depart() {
 }
 
 void VpNode::StartCreateVp(VpId new_id) {
-  ++stats_.vp_creations_initiated;
+  ctr_creations_initiated_->Increment();
   create_open_ = true;
   ++create_generation_;
   create_id_ = new_id;
@@ -385,7 +393,7 @@ void VpNode::CommitToVp(VpId v, std::set<ProcessorId> view,
     }
   }
   PersistViewMeta();
-  ++stats_.vp_joins;
+  ctr_joins_->Increment();
   Fdr(obs::FdrKind::kViewCommit, TxnId{}, obs::FlightRecorder::PackVpId(v),
       obs::FlightRecorder::MemberMask(lview_));
   env_.recorder->JoinVp(id_, v, lview_, env_.clock->Now());
@@ -643,7 +651,7 @@ void VpNode::StartUpdateCopies(const std::set<ObjectId>& was_dirty) {
         if (was_dirty.count(obj) > 0) {
           StartObjectRecovery(obj);
         } else {
-          ++stats_.recovery_skipped_objects;
+          ctr_recovery_skipped_->Increment();
           Unlock(obj);
         }
       }
@@ -717,9 +725,9 @@ void VpNode::StartObjectRecovery(ObjectId obj) {
 
   for (ProcessorId q : targets) {
     if (want == msg::RecoveryWant::kDate) {
-      ++stats_.recovery_date_polls;
+      ctr_recovery_date_polls_->Increment();
     } else if (q != id_) {
-      ++stats_.recovery_reads_sent;
+      ctr_recovery_reads_sent_->Increment();
     }
     recovery_outbox_[q].push_back(
         msg::RecoveryRead::Item{obj, op_id, want, after});
@@ -836,8 +844,8 @@ void VpNode::HandleRecoveryItem(ProcessorId from,
     rec.awaiting = {rec.best_holder};
     env_.executor->Cancel(rec.timeout_event);
     rec.timeout_event = ArmRecoveryTimeout(item.op_id);
-    ++stats_.recovery_value_fetches;
-    ++stats_.recovery_reads_sent;
+    ctr_recovery_value_fetches_->Increment();
+    ctr_recovery_reads_sent_->Increment();
     recovery_outbox_[rec.best_holder].push_back(msg::RecoveryRead::Item{
         rec.obj, item.op_id, msg::RecoveryWant::kValue, kEpochDate});
     return;
@@ -878,7 +886,7 @@ void VpNode::FinishRecovery(uint64_t op_id) {
       }
     }
     if (best != nullptr) {
-      stats_.recovery_log_records += best->size();
+      ctr_recovery_log_records_->Add(best->size());
       Status s = env_.store->ApplyLogSuffix(obj, *best);
       VP_CHECK(s.ok());
     }
@@ -1009,12 +1017,10 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
     });
     return;
   }
-  ++stats_.reads_attempted;
+  ctr_reads_attempted_->Increment();
   TxnRec* rec = nullptr;
   Status admit = AdmitLogicalOp(txn, obj, &rec);
   if (!admit.ok()) {
-    if (admit.IsUnavailable()) ++stats_.reads_unavailable;
-    else ++stats_.reads_failed;
     cb(admit);
     return;
   }
@@ -1039,7 +1045,7 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
     std::sort(rest.begin(), rest.end());
     for (auto& [cost, q] : rest) pr.fallbacks.push_back(q);
   }
-  ++stats_.phys_reads_sent;
+  ctr_phys_reads_sent_->Increment();
   ctr_phys_reads_issued_->Increment();
   rec->path.OpIssued(env_.clock->Now());
   SendRead(op_id, std::move(pr), rec->participants);
@@ -1065,7 +1071,6 @@ void VpNode::SendRead(uint64_t op_id, PendingRead pr,
         // line 5's no-response handler).
         PendingRead pr2 = std::move(it2->second);
         pending_reads_.erase(it2);
-        ++stats_.reads_failed;
         TxnRec* r = FindTxn(pr2.txn);
         if (r != nullptr) {
           r->doomed = true;
@@ -1089,12 +1094,9 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
     });
     return;
   }
-  ++stats_.writes_attempted;
   TxnRec* rec = nullptr;
   Status admit = AdmitLogicalOp(txn, obj, &rec);
   if (!admit.ok()) {
-    if (admit.IsUnavailable()) ++stats_.writes_unavailable;
-    else ++stats_.writes_failed;
     cb(admit);
     return;
   }
@@ -1129,7 +1131,7 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   // `rec` is not used past this point: an inline reply can run client code
   // that begins transactions.
   for (ProcessorId q : targets) {
-    ++stats_.phys_writes_sent;
+    ctr_phys_writes_sent_->Increment();
     SendPhys(q,
              msg::PhysWrite{txn, obj, value, cur_id_, epoch_, op_id,
                             footprint},
@@ -1143,7 +1145,6 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
         if (it2 == pending_writes_.end()) return;
         PendingWrite pw2 = std::move(it2->second);
         pending_writes_.erase(it2);
-        ++stats_.writes_failed;
         TxnRec* r = FindTxn(pw2.txn);
         if (r != nullptr) {
           r->doomed = true;
@@ -1305,7 +1306,6 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
         return true;
       }
       if (body.ok) {
-        ++stats_.reads_ok;
         rec->participants.insert(m.src);
         const runtime::TimePoint now = env_.clock->Now();
         rec->path.OpCompleted(now, body.lock_wait_us);
@@ -1324,10 +1324,9 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
         // R2's optional retry at the next-nearest copy.
         pr.target = pr.fallbacks.front();
         pr.fallbacks.erase(pr.fallbacks.begin());
-        ++stats_.phys_reads_sent;
+        ctr_phys_reads_sent_->Increment();
         SendRead(next_op_id_++, std::move(pr), rec->participants);
       } else {
-        ++stats_.reads_failed;
         rec->doomed = true;
         rec->path.OpCompleted(env_.clock->Now(), body.lock_wait_us);
         InternalAbort(pr.txn);
@@ -1356,7 +1355,6 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
       env_.executor->Cancel(pw.timeout_event);
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
-      ++stats_.writes_failed;
       rec->doomed = true;
       rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
       InternalAbort(done.txn);
@@ -1368,7 +1366,6 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
       env_.executor->Cancel(pw.timeout_event);
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
-      ++stats_.writes_ok;
       const runtime::TimePoint now = env_.clock->Now();
       rec->path.OpCompleted(now, done.max_lock_wait_us);
       env_.recorder->TxnWrite(done.txn, done.obj, done.value, now);

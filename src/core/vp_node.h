@@ -341,9 +341,19 @@ class VpNode : public NodeBase {
   obs::Counter* ctr_reconfigs_proposed_ = nullptr;
   obs::Counter* ctr_reconfigs_committed_ = nullptr;
   obs::Counter* ctr_reconfigs_deferred_ = nullptr;
+  obs::Counter* ctr_creations_initiated_ = nullptr;
+  obs::Counter* ctr_joins_ = nullptr;
   /// R5 requests sent to remote holders, and the items they carried.
   obs::Counter* ctr_recovery_requests_ = nullptr;
   obs::Counter* ctr_recovery_items_ = nullptr;
+  /// R5 work by kind (E7): value items sent to remote holders (date-poll
+  /// fetches included), objects the §6 previous-vp rule skipped, log
+  /// records applied by catch-up, date items, and date-poll value fetches.
+  obs::Counter* ctr_recovery_reads_sent_ = nullptr;
+  obs::Counter* ctr_recovery_skipped_ = nullptr;
+  obs::Counter* ctr_recovery_log_records_ = nullptr;
+  obs::Counter* ctr_recovery_date_polls_ = nullptr;
+  obs::Counter* ctr_recovery_value_fetches_ = nullptr;
   obs::Gauge* gauge_epoch_ = nullptr;
   obs::Histogram* hist_phys_read_us_ = nullptr;
   obs::Histogram* hist_phys_write_us_ = nullptr;

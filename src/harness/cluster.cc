@@ -294,71 +294,6 @@ history::CertifyResult Cluster::CertifyDurableReads() const {
                                              initial_db());
 }
 
-core::ProtocolStats Cluster::AggregateStats() const {
-  core::ProtocolStats sum;
-  for (const auto& node : nodes_) {
-    const core::ProtocolStats& s = node->stats();
-    sum.txns_begun += s.txns_begun;
-    sum.txns_committed += s.txns_committed;
-    sum.txns_aborted += s.txns_aborted;
-    sum.reads_attempted += s.reads_attempted;
-    sum.reads_ok += s.reads_ok;
-    sum.reads_unavailable += s.reads_unavailable;
-    sum.reads_failed += s.reads_failed;
-    sum.writes_attempted += s.writes_attempted;
-    sum.writes_ok += s.writes_ok;
-    sum.writes_unavailable += s.writes_unavailable;
-    sum.writes_failed += s.writes_failed;
-    sum.phys_reads_sent += s.phys_reads_sent;
-    sum.phys_writes_sent += s.phys_writes_sent;
-    sum.vp_creations_initiated += s.vp_creations_initiated;
-    sum.vp_joins += s.vp_joins;
-    sum.recovery_reads_sent += s.recovery_reads_sent;
-    sum.recovery_skipped_objects += s.recovery_skipped_objects;
-    sum.recovery_log_records += s.recovery_log_records;
-    sum.recovery_date_polls += s.recovery_date_polls;
-    sum.recovery_value_fetches += s.recovery_value_fetches;
-    sum.rel_sends += s.rel_sends;
-    sum.rel_retransmits += s.rel_retransmits;
-    sum.rel_timeouts += s.rel_timeouts;
-    sum.rel_dups_suppressed += s.rel_dups_suppressed;
-  }
-  return sum;
-}
-
-storage::StableStats Cluster::AggregateStableStats() const {
-  storage::StableStats sum;
-  for (const auto& s : stables_) {
-    const storage::StableStats& st = s->stats();
-    sum.fsyncs += st.fsyncs;
-    sum.wal_appends += st.wal_appends;
-    sum.wal_bytes += st.wal_bytes;
-    sum.copy_persist_bytes += st.copy_persist_bytes;
-    sum.wal_replay_records += st.wal_replay_records;
-    sum.reboots += st.reboots;
-    sum.torn_truncated += st.torn_truncated;
-    sum.quarantined += st.quarantined;
-    sum.scrub_repairs += st.scrub_repairs;
-  }
-  return sum;
-}
-
-storage::StoreStats Cluster::AggregateStoreStats() const {
-  storage::StoreStats sum;
-  auto add = [&sum](const storage::ReplicaStore& store) {
-    const storage::StoreStats& s = store.stats();
-    sum.commits += s.commits;
-    sum.stages += s.stages;
-    sum.discards += s.discards;
-    sum.recoveries += s.recoveries;
-    sum.recovery_bytes += s.recovery_bytes;
-    sum.log_catchup_records += s.log_catchup_records;
-  };
-  for (const auto& s : stores_) add(*s);
-  for (const auto& s : retired_stores_) add(*s);
-  return sum;
-}
-
 bool Cluster::VpConverged() const {
   if (config_.protocol != Protocol::kVirtualPartition) return false;
   for (ProcessorId a = 0; a < config_.n_processors; ++a) {

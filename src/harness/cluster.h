@@ -130,6 +130,8 @@ class Cluster {
   uint32_t size() const { return config_.n_processors; }
   /// Cluster-wide metrics registry (serial mode: the sim runs everything
   /// on one thread, and plain-int counters keep snapshots deterministic).
+  /// The only cluster-wide counter store: every node, lock manager, channel
+  /// and stable device counts into it, retired incarnations included.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::Tracer& tracer() { return tracer_; }
@@ -166,15 +168,6 @@ class Cluster {
   /// No-lost-committed-write check: committed reads trace to committed
   /// writes (or the initial database).
   history::CertifyResult CertifyDurableReads() const;
-  /// Sum of a ProtocolStats field over all nodes.
-  core::ProtocolStats AggregateStats() const;
-  /// Sum of stable-device counters over all processors (fsyncs, WAL bytes,
-  /// replayed records, reboots).
-  storage::StableStats AggregateStableStats() const;
-  /// Sum of replica-store counters over all processors, including the
-  /// graveyard of stores retired by amnesia reboots (their commits and
-  /// recoveries happened and must stay visible in bench output).
-  storage::StoreStats AggregateStoreStats() const;
 
   /// True once every alive, mutually-connected processor pair reports the
   /// same virtual partition (VP protocol only).

@@ -39,6 +39,11 @@ std::set<std::string> PlanCoverage(const FaultPlan& plan) {
 
 }  // namespace
 
+uint64_t CampaignResult::Total(const std::string& name) const {
+  const auto it = metrics.find(name);
+  return it == metrics.end() ? 0 : it->second;
+}
+
 CampaignResult RunCampaign(const CampaignConfig& config,
                            const CampaignProgressFn& progress) {
   CampaignResult result;
@@ -56,15 +61,6 @@ CampaignResult RunCampaign(const CampaignConfig& config,
     result.retransmits += outcome.retransmits;
     result.delivery_timeouts += outcome.delivery_timeouts;
     result.dups_suppressed += outcome.dups_suppressed;
-    result.stable.fsyncs += outcome.stable.fsyncs;
-    result.stable.wal_appends += outcome.stable.wal_appends;
-    result.stable.wal_bytes += outcome.stable.wal_bytes;
-    result.stable.copy_persist_bytes += outcome.stable.copy_persist_bytes;
-    result.stable.wal_replay_records += outcome.stable.wal_replay_records;
-    result.stable.reboots += outcome.stable.reboots;
-    result.stable.torn_truncated += outcome.stable.torn_truncated;
-    result.stable.quarantined += outcome.stable.quarantined;
-    result.stable.scrub_repairs += outcome.stable.scrub_repairs;
     for (const auto& [name, value] : outcome.metrics.counters) {
       result.metrics[name] += value;
     }
@@ -120,19 +116,24 @@ std::string FormatCampaign(const CampaignConfig& config,
     out << "  deadline timeouts " << result.delivery_timeouts << "\n";
     out << "  dups suppressed   " << result.dups_suppressed << "\n";
   }
-  if (result.stable.fsyncs > 0 || result.stable.reboots > 0) {
+  const uint64_t fsyncs = result.Total("wal.fsyncs");
+  const uint64_t reboots = result.Total("storage.reboots");
+  if (fsyncs > 0 || reboots > 0) {
     out << "stable storage (summed over runs):\n";
-    out << "  fsyncs      " << result.stable.fsyncs << "\n";
-    out << "  wal appends " << result.stable.wal_appends << "\n";
-    out << "  wal bytes   " << result.stable.wal_bytes << "\n";
-    out << "  copy bytes  " << result.stable.copy_persist_bytes << "\n";
-    out << "  replayed    " << result.stable.wal_replay_records << "\n";
-    out << "  reboots     " << result.stable.reboots << "\n";
-    if (result.stable.torn_truncated > 0 || result.stable.quarantined > 0 ||
-        result.stable.scrub_repairs > 0) {
-      out << "  torn trunc  " << result.stable.torn_truncated << "\n";
-      out << "  quarantined " << result.stable.quarantined << "\n";
-      out << "  scrub reps  " << result.stable.scrub_repairs << "\n";
+    out << "  fsyncs      " << fsyncs << "\n";
+    out << "  wal appends " << result.Total("wal.appends") << "\n";
+    out << "  wal bytes   " << result.Total("wal.bytes") << "\n";
+    out << "  copy bytes  " << result.Total("storage.copy_persist_bytes")
+        << "\n";
+    out << "  replayed    " << result.Total("wal.replay_records") << "\n";
+    out << "  reboots     " << reboots << "\n";
+    const uint64_t torn = result.Total("wal.torn_truncated");
+    const uint64_t quarantined = result.Total("storage.quarantined");
+    const uint64_t repairs = result.Total("storage.scrub_repairs");
+    if (torn > 0 || quarantined > 0 || repairs > 0) {
+      out << "  torn trunc  " << torn << "\n";
+      out << "  quarantined " << quarantined << "\n";
+      out << "  scrub reps  " << repairs << "\n";
     }
   }
   if (!result.metrics.empty()) {

@@ -55,14 +55,14 @@ struct CampaignResult {
   uint64_t delivery_timeouts = 0;
   uint64_t dups_suppressed = 0;
 
-  /// Stable-storage accounting summed over all runs (zeros unless the
-  /// generator enables amnesia or plans set a WAL durability mode).
-  storage::StableStats stable;
-
   /// Every registry counter summed over all runs (name → total). The
   /// per-run snapshots come from RunOutcome::metrics; FormatCampaign
-  /// prints this as the campaign's metrics block.
+  /// prints this as the campaign's metrics block, and its stable-storage
+  /// block from the wal.* and storage.* entries.
   std::map<std::string, uint64_t> metrics;
+
+  /// Summed value of one registry counter, 0 if no run registered it.
+  uint64_t Total(const std::string& name) const;
 
   /// Fault-mix coverage: kind name → number of plans containing it, plus
   /// pseudo-kinds "dup_prob"/"reorder_prob"/"drop_prob"/"slow_prob" for

@@ -835,8 +835,7 @@ RunOutcome RunPlan(const FaultPlan& plan, const RunOptions& opts) {
   out.duplicated = cluster.network().stats().duplicated;
   out.reordered = cluster.network().stats().reordered;
   // The registry outlives amnesia reboots (retired node objects shared it),
-  // so these totals cover every incarnation — unlike AggregateStats, which
-  // only sees the surviving node objects.
+  // so these totals cover every incarnation.
   out.metrics = cluster.metrics().Snapshot();
   out.retransmits = out.metrics.CounterValue("rel.retransmits");
   out.delivery_timeouts = out.metrics.CounterValue("rel.timed_out");
@@ -867,8 +866,6 @@ RunOutcome RunPlan(const FaultPlan& plan, const RunOptions& opts) {
 
   history::CertifyResult durable = cluster.CertifyDurableReads();
   out.durable_reads = durable.ok;
-
-  out.stable = cluster.AggregateStableStats();
 
   // State-level durability: after the final heal, convergence and the R5
   // recovery drain, every physical copy must hold the value of the LAST
@@ -947,7 +944,7 @@ RunOutcome RunPlan(const FaultPlan& plan, const RunOptions& opts) {
 
   // Failures (and quarantine salvages, which are suspicious even when the
   // checks pass) ship with the flight-recorder context of every node.
-  if (out.violation() || out.stable.quarantined > 0) {
+  if (out.violation() || out.metrics.CounterValue("storage.quarantined") > 0) {
     out.fdr = cluster.fdr().Dump();
   }
   if (!opts.fdr_out.empty()) {

@@ -210,12 +210,11 @@ struct RunOutcome {
   EpochId final_epoch = 0;
 
   /// Full metrics snapshot of the run's cluster registry (counters, gauge
-  /// maxima, histogram percentiles). Serial-mode registry: two runs of the
-  /// same plan produce byte-identical `metrics.Format()` output.
+  /// maxima, histogram percentiles), every incarnation included. It also
+  /// holds the stable-device accounting (wal.*, storage.*). Serial-mode
+  /// registry: two runs of the same plan produce byte-identical
+  /// `metrics.Format()` output.
   obs::MetricsSnapshot metrics;
-
-  /// Stable-device accounting (all zeros under kRetainMemory).
-  storage::StableStats stable;
 
   /// First failed check with its witness; empty when all checks passed.
   std::string failure;

@@ -83,8 +83,6 @@ struct NetworkStats {
   /// Sends per message type, indexed by Body::index() (names in
   /// core::msg::kNames).
   std::array<uint64_t, std::variant_size_v<Body>> sent_by_type{};
-
-  void Reset() { *this = NetworkStats(); }
 };
 
 /// The simulated network.
@@ -102,7 +100,6 @@ class Network {
   void Send(Message msg);
 
   const NetworkStats& stats() const { return stats_; }
-  NetworkStats* mutable_stats() { return &stats_; }
 
   /// Mirrors message counts into `registry` ("net.msgs_sent",
   /// "net.msgs_remote", "net.msgs_delivered") from this call on. The

@@ -79,7 +79,6 @@ uint64_t ReliableChannel::Send(ProcessorId dst, Body body,
   CarryAck(p.msg);
   auto [it, inserted] = pending_.emplace(rel_id, std::move(p));
   VP_CHECK(inserted);
-  ++stats_.sends;
   ctr_sends_->Increment();
   it->second.msg.rel_floor = pending_.begin()->first;
   transport_->Send(it->second.msg);
@@ -106,12 +105,10 @@ void ReliableChannel::OnTimer(uint64_t rel_id) {
     // the hook out first — it may re-enter the channel.
     TimeoutFn on_timeout = std::move(p.on_timeout);
     pending_.erase(it);
-    ++stats_.timed_out;
     ctr_timed_out_->Increment();
     if (on_timeout) on_timeout();
     return;
   }
-  ++stats_.retransmits;
   ctr_retransmits_->Increment();
   const runtime::TimePoint now = clock_->Now();
   tracer_->Instant(p.msg.trace, self_, static_cast<uint64_t>(now),
@@ -148,12 +145,10 @@ bool ReliableChannel::HandleMessage(const Message& m,
     // The first copy's ack (or its carrier) was lost, or this copy was
     // duplicated in flight: ack again, or the sender retries until its
     // deadline.
-    ++stats_.dup_suppressed;
     ctr_dups_->Increment();
     SendAck(ack);
     return true;
   }
-  ++stats_.delivered;
   ctr_delivered_->Increment();
   // Transports never deliver synchronously, so deliveries do not nest.
   VP_CHECK(owed_.rel_id == 0);
@@ -183,11 +178,9 @@ void ReliableChannel::SettleAck(uint64_t rel_id, uint32_t incarnation) {
     // Addressed to a previous life of this processor (the pending send
     // died with that incarnation's volatile state), or repeated on a
     // carrier's retransmission, or racing a just-expired deadline.
-    ++stats_.stale_acks;
     ctr_stale_acks_->Increment();
     return;
   }
-  ++stats_.acks_received;
   ctr_acks_->Increment();
   executor_->Cancel(it->second.timer);
   pending_.erase(it);

@@ -97,20 +97,6 @@ struct ReliableConfig {
   uint64_t jitter_seed = 0;
 };
 
-/// Per-channel counters, surfaced through ProtocolStats and campaign
-/// summaries (retransmits reported alongside fsyncs). The registry also
-/// counts acks carried on other traffic (rel.acks_carried) and standalone
-/// RelAck messages (rel.ack_msgs).
-struct ReliableStats {
-  uint64_t sends = 0;            // Messages entrusted to the channel.
-  uint64_t retransmits = 0;      // Transmissions beyond each first one.
-  uint64_t acks_received = 0;    // Acks matching a pending send.
-  uint64_t stale_acks = 0;       // Acks for unknown ids / other incarnations.
-  uint64_t delivered = 0;        // Data messages passed up to the node.
-  uint64_t dup_suppressed = 0;   // Data copies dropped by receiver dedup.
-  uint64_t timed_out = 0;        // Sends abandoned at the delivery deadline.
-};
-
 /// One node's endpoint of the reliable-delivery layer. Owns the pending
 /// (unacked) send buffer, the retransmit timers, and the receiver-side
 /// dedup table. Not used when ReliableConfig.enabled is false.
@@ -131,7 +117,7 @@ class ReliableChannel {
   using StampFn = std::function<void(Message&)>;
 
   /// `metrics`/`tracer`/`fdr` may be null (process-global fallbacks are
-  /// used): the channel mirrors its counters into the registry, records a
+  /// used): the channel keeps its counters (rel.*) in the registry, records a
   /// flight-recorder event per retransmission, and, when tracing, emits an
   /// instant event per retransmission carrying the payload's trace id.
   ReliableChannel(runtime::Clock* clock, runtime::Executor* executor,
@@ -193,7 +179,6 @@ class ReliableChannel {
   /// stamped once, at its first transmission; retransmissions repeat it.
   void set_stamp(StampFn stamp) { stamp_ = std::move(stamp); }
 
-  const ReliableStats& stats() const { return stats_; }
   size_t pending_count() const { return pending_.size(); }
   /// Ids held by receiver dedup, over every sender.
   size_t dedup_size() const;
@@ -252,7 +237,6 @@ class ReliableChannel {
   /// orphaned sends of its previous life that are still retransmitting.
   std::map<std::pair<ProcessorId, uint32_t>, Dedup> dedup_;
   OwedAck owed_;
-  ReliableStats stats_;
   StampFn stamp_;
 
   obs::Tracer* tracer_;

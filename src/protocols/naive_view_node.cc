@@ -28,16 +28,14 @@ std::set<ProcessorId> NaiveViewNode::CurrentView() const {
 
 void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
                                 core::ReadCallback cb) {
-  ++stats_.reads_attempted;
+  ctr_reads_attempted_->Increment();
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr || rec->st != cc::TxnOutcome::kActive || rec->doomed) {
-    ++stats_.reads_failed;
     cb(Status::Aborted("transaction not active"));
     return;
   }
   const std::set<ProcessorId> view = CurrentView();
   if (!env_.placement->Accessible(obj, view)) {
-    ++stats_.reads_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no majority in view"));
@@ -62,7 +60,7 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
   pr.obj = obj;
   pr.cb = std::move(cb);
   rec->participants.insert(target);
-  ++stats_.phys_reads_sent;
+  ctr_phys_reads_sent_->Increment();
   rec->path.OpIssued(env_.clock->Now());
   // Registered before the send: a local copy replies inline.
   pending_reads_[op_id] = std::move(pr);
@@ -81,7 +79,6 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
         if (it2 == pending_reads_.end()) return;
         PendingRead done = std::move(it2->second);
         pending_reads_.erase(it2);
-        ++stats_.reads_failed;
         if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
           r->path.OpCompleted(env_.clock->Now(), 0);
         }
@@ -92,16 +89,13 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
 
 void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                                  core::WriteCallback cb) {
-  ++stats_.writes_attempted;
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr || rec->st != cc::TxnOutcome::kActive || rec->doomed) {
-    ++stats_.writes_failed;
     cb(Status::Aborted("transaction not active"));
     return;
   }
   const std::set<ProcessorId> view = CurrentView();
   if (!env_.placement->Accessible(obj, view)) {
-    ++stats_.writes_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no majority in view"));
@@ -123,7 +117,6 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
         if (it == pending_writes_.end()) return;
         PendingWrite done = std::move(it->second);
         pending_writes_.erase(it);
-        ++stats_.writes_failed;
         if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
           r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
         }
@@ -139,7 +132,7 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   // used past this point).
   for (ProcessorId q : targets) rec->participants.insert(q);
   for (ProcessorId q : targets) {
-    ++stats_.phys_writes_sent;
+    ctr_phys_writes_sent_->Increment();
     SendPhys(q,
              PhysWrite{txn, obj, value, date, /*epoch=*/0, op_id, {}},
              [this, op_id, q]() {
@@ -186,14 +179,12 @@ void NaiveViewNode::HandleReadReply(ProcessorId src,
     r->path.OpCompleted(env_.clock->Now(), body.lock_wait_us);
   }
   if (!body.ok) {
-    ++stats_.reads_failed;
     InternalAbort(done.txn);
     done.cb(body.error == "delivery-timeout"
                 ? Status::Timeout("physical read delivery deadline passed")
                 : Status::Aborted("physical read failed: " + body.error));
     return;
   }
-  ++stats_.reads_ok;
   env_.recorder->TxnRead(done.txn, done.obj, body.value, body.date,
                          env_.clock->Now());
   done.cb(core::ReadResult{body.value, body.date, src});
@@ -211,7 +202,6 @@ void NaiveViewNode::HandleWriteReply(ProcessorId src,
     PendingWrite done = std::move(it->second);
     pending_writes_.erase(it);
     env_.executor->Cancel(done.timeout_event);
-    ++stats_.writes_failed;
     if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
       r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
     }
@@ -226,7 +216,6 @@ void NaiveViewNode::HandleWriteReply(ProcessorId src,
     PendingWrite done = std::move(it->second);
     pending_writes_.erase(it);
     env_.executor->Cancel(done.timeout_event);
-    ++stats_.writes_ok;
     if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
       r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
     }

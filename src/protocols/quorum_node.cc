@@ -75,18 +75,16 @@ Status QuorumNode::AdmitOp(TxnId txn, core::NodeBase::TxnRec** rec_out) {
 }
 
 void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
-  ++stats_.reads_attempted;
+  ctr_reads_attempted_->Increment();
   TxnRec* rec = nullptr;
   Status admit = AdmitOp(txn, &rec);
   if (!admit.ok()) {
-    ++stats_.reads_failed;
     cb(admit);
     return;
   }
   const Weight needed = ReadQuorum(obj);
   std::vector<ProcessorId> targets = SelectCopies(obj, needed);
   if (targets.empty()) {
-    ++stats_.reads_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no read quorum available"));
@@ -107,7 +105,7 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
   // soon as the quorum is met or lost.
   for (ProcessorId q : targets) {
     if (TxnRec* r = FindTxn(txn); r != nullptr) r->participants.insert(q);
-    ++stats_.phys_reads_sent;
+    ctr_phys_reads_sent_->Increment();
     const uint64_t rel_id =
         SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
@@ -127,18 +125,15 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
 
 void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                               core::WriteCallback cb) {
-  ++stats_.writes_attempted;
   TxnRec* rec = nullptr;
   Status admit = AdmitOp(txn, &rec);
   if (!admit.ok()) {
-    ++stats_.writes_failed;
     cb(admit);
     return;
   }
   const Weight needed = WriteQuorum(obj);
   std::vector<ProcessorId> targets = SelectCopies(obj, needed);
   if (targets.empty()) {
-    ++stats_.writes_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no write quorum available"));
@@ -162,7 +157,7 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   // (moving the op to phase 2) or fail it.
   for (ProcessorId q : targets) {
     if (TxnRec* r = FindTxn(txn); r != nullptr) r->participants.insert(q);
-    ++stats_.phys_reads_sent;
+    ctr_phys_reads_sent_->Increment();
     const uint64_t rel_id =
         SendPhys(q,
                  PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
@@ -211,7 +206,6 @@ void QuorumNode::FailRead(uint64_t op_id, Status why) {
   pending_reads_.erase(it);
   env_.executor->Cancel(pr.timeout_event);
   CancelOutstanding(pr);
-  ++stats_.reads_failed;
   TxnRec* rec = FindTxn(pr.txn);
   if (rec != nullptr) {
     rec->doomed = true;
@@ -228,7 +222,6 @@ void QuorumNode::FailWrite(uint64_t op_id, Status why) {
   pending_writes_.erase(it);
   env_.executor->Cancel(pw.timeout_event);
   CancelOutstanding(pw);
-  ++stats_.writes_failed;
   TxnRec* rec = FindTxn(pw.txn);
   if (rec != nullptr) {
     rec->doomed = true;
@@ -261,7 +254,7 @@ void QuorumNode::StartWritePhase2(uint64_t op_id) {
   const Value value = pw.value;
   const std::set<ProcessorId> targets = pw.pollers;
   for (ProcessorId q : targets) {
-    ++stats_.phys_writes_sent;
+    ctr_phys_writes_sent_->Increment();
     const uint64_t rel_id =
         SendPhys(q,
                  PhysWrite{txn, obj, value, new_date, /*epoch=*/0, op_id, {}},
@@ -331,7 +324,6 @@ void QuorumNode::HandleReadReply(ProcessorId src, const PhysReadReply& body) {
       // a leftover request retransmitted past commit would be served
       // outside the transaction's 2PL window.
       CancelOutstanding(done);
-      ++stats_.reads_ok;
       if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
         rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
       }
@@ -412,7 +404,6 @@ void QuorumNode::HandleWriteReply(ProcessorId src,
     PendingWrite done = std::move(it->second);
     pending_writes_.erase(it);
     env_.executor->Cancel(done.timeout_event);
-    ++stats_.writes_ok;
     if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
       rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
     }

@@ -329,15 +329,12 @@ void ThreadRuntime::Stop() {
     }
     Task t;
     while (sh->mailbox.Pop(&t)) {
-      // Cancel commands never counted toward strand depth.
-      if (t.cancel_target == kInvalidTask) {
+      if (t.runnable) {
         strand_depth_[t.strand].fetch_sub(1, std::memory_order_relaxed);
       }
     }
     // The worker joined above, so its private heap is safely ours now.
-    for (const Task& task : sh->heap) {
-      strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);
-    }
+    // Armed timers never counted toward strand depth.
     sh->heap.clear();
     sh->pending.clear();
     sh->cancelled.clear();
@@ -367,15 +364,14 @@ TaskId ThreadRuntime::ScheduleTask(uint32_t strand, TimePoint when,
   const TaskId id =
       (sh.next_seq.fetch_add(1, std::memory_order_relaxed) << kShardBits) |
       shard_index;
-  hist_strand_depth_->Observe(
-      strand_depth_[strand].fetch_add(1, std::memory_order_relaxed) + 1);
-  if (when > NowUs() && tls_owner_shard == &sh) {
+  const bool due = when <= NowUs();
+  if (!due && tls_owner_shard == &sh) {
     // Owner-local timer arm: the caller is this shard's worker thread (a
     // strand task arming its own timer — every protocol timer takes this
     // path), so the heap is private. No lock, and no wake either: the
     // worker is awake right now, running us, and recomputes its sleep
     // deadline from the heap before it next parks.
-    ArmLocal(sh, Task{when, id, strand, kInvalidTask, std::move(fn)});
+    ArmLocal(sh, Task{when, id, strand, kInvalidTask, std::move(fn), false});
     sh.inflight.fetch_sub(1, std::memory_order_release);
   } else {
     // Hot path (due now) and foreign-thread timer arms: one lock-free
@@ -384,7 +380,8 @@ TaskId ThreadRuntime::ScheduleTask(uint32_t strand, TimePoint when,
     // guards handle the rest). A delayed task pushed from a foreign
     // thread is a command: the owner re-files it into its private heap
     // (see WorkerLoop) instead of running it.
-    sh.mailbox.Push(Task{when, id, strand, kInvalidTask, std::move(fn)});
+    if (due) CountRunnable(strand);
+    sh.mailbox.Push(Task{when, id, strand, kInvalidTask, std::move(fn), due});
     ctr_mailbox_pushes_->Increment();
     sh.inflight.fetch_sub(1, std::memory_order_release);
     WakeShard(sh);
@@ -442,7 +439,13 @@ void ThreadRuntime::WakeShard(Shard& sh) {
   ctr_cross_wakeups_->Increment();
 }
 
+void ThreadRuntime::CountRunnable(uint32_t strand) {
+  hist_strand_depth_->Observe(
+      strand_depth_[strand].fetch_add(1, std::memory_order_relaxed) + 1);
+}
+
 void ThreadRuntime::RunTask(Task& task) {
+  strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);
   // Tag this thread's log lines with the strand (= processor) whose task
   // it is running, so interleaved worker output stays readable.
   Logger::SetThreadProcessor(static_cast<int>(task.strand));
@@ -473,8 +476,8 @@ void ThreadRuntime::WorkerLoop(uint32_t shard) {
         Task task = std::move(sh.heap.back());
         sh.heap.pop_back();
         sh.pending.erase(task.id);
-        strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);
         if (sh.cancelled.erase(task.id) > 0) continue;
+        CountRunnable(task.strand);
         due.push_back(std::move(task));
       }
       for (Task& task : due) {
@@ -500,7 +503,8 @@ void ThreadRuntime::WorkerLoop(uint32_t shard) {
         ArmLocal(sh, std::move(task));
         continue;
       }
-      strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);
+      // A foreign-armed timer that came due in the mailbox counts now.
+      if (!task.runnable) CountRunnable(task.strand);
       RunTask(task);
       ran = true;
     }

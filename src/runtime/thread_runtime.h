@@ -123,6 +123,9 @@ class ThreadRuntime {
     /// that heap task, not a runnable task (`fn` is empty).
     TaskId cancel_target = kInvalidTask;
     std::function<void()> fn;
+    /// Counted in its strand's runnable depth: the task was due when
+    /// posted. Timers count only once they pop due (CountRunnable).
+    bool runnable = false;
   };
   struct TaskLater {
     bool operator()(const Task& a, const Task& b) const {
@@ -138,6 +141,9 @@ class ThreadRuntime {
   struct Shard;  // Defined in the .cc; mailbox + timer heap + sleep state.
 
   TimePoint NowUs() const;
+  /// Adds one runnable task to `strand`'s depth and observes the new depth
+  /// in runtime.strand_queue_depth. RunTask takes it off again.
+  void CountRunnable(uint32_t strand);
   TaskId ScheduleTask(uint32_t strand, TimePoint when,
                       std::function<void()> fn);
   void CancelTask(TaskId id);
@@ -176,7 +182,8 @@ class ThreadRuntime {
   obs::Counter* ctr_msgs_dropped_unreg_ = nullptr;
   obs::Histogram* hist_wheel_depth_ = nullptr;
   obs::Histogram* hist_strand_depth_ = nullptr;
-  /// Tasks queued per strand, for the strand-depth histogram.
+  /// Runnable tasks queued per strand (due, not yet run), for the
+  /// strand-depth histogram. Armed and tombstoned timers are not work.
   std::unique_ptr<std::atomic<uint32_t>[]> strand_depth_;
 };
 

@@ -77,8 +77,7 @@ void StableStore::PersistCopy(ObjectId obj, const Value& value, VpId date,
   copy.torn = false;
   uint64_t bytes = value.size() + 8;
   for (const LogRecord& rec : log) bytes += rec.value.size() + 20;
-  stats_.copy_persist_bytes += bytes;
-  ++stats_.fsyncs;
+  ctr_copy_persist_bytes_->Add(bytes);
   ctr_fsyncs_->Increment();
   if (event_hook_) event_hook_("copy", bytes, 0);
 }
@@ -88,7 +87,6 @@ void StableStore::PersistViewMeta(VpId max_id, VpId cur_id, EpochId epoch) {
   cur_view_ = cur_id;
   epoch_ = epoch;
   has_view_meta_ = true;
-  ++stats_.fsyncs;
   ctr_fsyncs_->Increment();
   if (event_hook_) event_hook_("viewmeta", 0, 0);
 }
@@ -98,7 +96,6 @@ void StableStore::PersistReconfig(EpochId epoch,
   for (const auto& [e, unused] : reconfigs_)
     if (e == epoch) return;  // Re-announced commit; already on the device.
   reconfigs_.emplace_back(epoch, ops);
-  ++stats_.fsyncs;
   ctr_fsyncs_->Increment();
   if (event_hook_) event_hook_("reconfig", ops.size(), 0);
 }
@@ -107,9 +104,6 @@ void StableStore::AppendWal(WalRecord rec) {
   if (mode_ == DurabilityMode::kNoWal) return;  // Strawman: records lost.
   if (replaying_) return;  // Re-staging during replay must not re-log.
   const uint64_t bytes = WriteAheadLog::RecordBytes(rec);
-  stats_.wal_bytes += bytes;
-  ++stats_.wal_appends;
-  ++stats_.fsyncs;
   ctr_wal_bytes_->Add(bytes);
   ctr_wal_appends_->Increment();
   ctr_fsyncs_->Increment();
@@ -179,7 +173,7 @@ void StableStore::TearTailOnCrash(bool drop) {
 
 uint32_t StableStore::BeginIncarnation() {
   ++incarnation_;
-  ++stats_.reboots;
+  ctr_reboots_->Increment();
   replaying_ = false;
   return incarnation_;
 }
@@ -192,7 +186,6 @@ void StableStore::BeginReplay() {
   // converges to the same truncation point.
   const WriteAheadLog::SalvageResult salvaged = wal_.Salvage();
   if (salvaged.tail_truncated > 0) {
-    stats_.torn_truncated += salvaged.tail_truncated;
     ctr_torn_truncated_->Add(salvaged.tail_truncated);
     if (event_hook_) {
       event_hook_("salvage.torn", salvaged.tail_truncated, 0);

@@ -86,22 +86,6 @@ enum class IntegrityMode : uint8_t {
 
 const char* IntegrityModeName(IntegrityMode mode);
 
-/// Counters for one processor's stable device.
-struct StableStats {
-  uint64_t fsyncs = 0;
-  uint64_t wal_appends = 0;
-  uint64_t wal_bytes = 0;
-  uint64_t copy_persist_bytes = 0;
-  uint64_t wal_replay_records = 0;
-  uint64_t reboots = 0;
-  /// Invalid WAL tail frames truncated by salvage.
-  uint64_t torn_truncated = 0;
-  /// Copies quarantined after a failed load (bad image or mid-log rot).
-  uint64_t quarantined = 0;
-  /// Quarantined copies rebuilt from live copies via copy-update.
-  uint64_t scrub_repairs = 0;
-};
-
 class StableStore {
  public:
   explicit StableStore(DurabilityMode mode,
@@ -110,16 +94,21 @@ class StableStore {
     AttachMetrics(obs::MetricsRegistry::Default());
   }
 
-  /// Mirrors fsync/WAL counters into `registry` ("wal.fsyncs",
-  /// "wal.appends", "wal.bytes", "wal.replay_records", "wal.torn_truncated",
-  /// "storage.quarantined", "storage.scrub_repairs") from this call on; the
-  /// harness attaches its per-cluster registry at node construction.
+  /// Counts the device's activity into `registry` from this call on
+  /// ("wal.fsyncs", "wal.appends", "wal.bytes", "wal.replay_records",
+  /// "wal.torn_truncated", "storage.copy_persist_bytes", "storage.reboots",
+  /// "storage.quarantined", "storage.scrub_repairs"); until then into the
+  /// process-global registry. The harness attaches its per-cluster
+  /// registry at construction; the device outlives reboots, so the counts
+  /// cover every incarnation.
   void AttachMetrics(obs::MetricsRegistry* registry) {
     ctr_fsyncs_ = registry->counter("wal.fsyncs");
     ctr_wal_appends_ = registry->counter("wal.appends");
     ctr_wal_bytes_ = registry->counter("wal.bytes");
     ctr_replayed_ = registry->counter("wal.replay_records");
     ctr_torn_truncated_ = registry->counter("wal.torn_truncated");
+    ctr_copy_persist_bytes_ = registry->counter("storage.copy_persist_bytes");
+    ctr_reboots_ = registry->counter("storage.reboots");
     ctr_quarantined_ = registry->counter("storage.quarantined");
     ctr_scrub_repairs_ = registry->counter("storage.scrub_repairs");
   }
@@ -227,21 +216,10 @@ class StableStore {
   /// a torn in-flight write; every local copy must be rebuilt from live
   /// copies before serving (see NodeBase::ReplayWal).
   bool quarantined() const { return quarantined_; }
-  void CountReplayedRecord() {
-    ++stats_.wal_replay_records;
-    ctr_replayed_->Increment();
-  }
+  void CountReplayedRecord() { ctr_replayed_->Increment(); }
   /// Accounting hooks for the quarantine → copy-update round trip.
-  void NoteQuarantined() {
-    ++stats_.quarantined;
-    ctr_quarantined_->Increment();
-  }
-  void NoteScrubRepair() {
-    ++stats_.scrub_repairs;
-    ctr_scrub_repairs_->Increment();
-  }
-
-  const StableStats& stats() const { return stats_; }
+  void NoteQuarantined() { ctr_quarantined_->Increment(); }
+  void NoteScrubRepair() { ctr_scrub_repairs_->Increment(); }
 
  private:
   DurabilityMode mode_;
@@ -257,12 +235,13 @@ class StableStore {
   bool replaying_ = false;
   bool quarantined_ = false;
   EventHook event_hook_;
-  StableStats stats_;
   obs::Counter* ctr_fsyncs_ = nullptr;
   obs::Counter* ctr_wal_appends_ = nullptr;
   obs::Counter* ctr_wal_bytes_ = nullptr;
   obs::Counter* ctr_replayed_ = nullptr;
   obs::Counter* ctr_torn_truncated_ = nullptr;
+  obs::Counter* ctr_copy_persist_bytes_ = nullptr;
+  obs::Counter* ctr_reboots_ = nullptr;
   obs::Counter* ctr_quarantined_ = nullptr;
   obs::Counter* ctr_scrub_repairs_ = nullptr;
 };

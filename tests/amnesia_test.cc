@@ -28,6 +28,12 @@ using harness::ClusterConfig;
 using harness::Protocol;
 using storage::DurabilityMode;
 
+// The device's replay, salvage and reboot counters (wal.replay_records,
+// wal.torn_truncated, storage.quarantined, storage.reboots) move only while
+// a processor reboots, and each test here reboots a single processor: the
+// cluster-wide counts read as that processor's own.
+using testutil::Counter;
+
 /// Runs the in-doubt coordinator-crash scenario under `mode` and returns
 /// the final value of object 0 at every copy (p1 and p2).
 struct CoordinatorCrashResult {
@@ -76,7 +82,7 @@ CoordinatorCrashResult RunCoordinatorCrashScenario(DurabilityMode mode) {
   for (ProcessorId p : {1, 2}) {
     result.copies.push_back(cluster.store(p).Read(0).value().value);
   }
-  result.replayed = cluster.stable(0).stats().wal_replay_records;
+  result.replayed = Counter(cluster, "wal.replay_records");
   result.incarnation = cluster.stable(0).incarnation();
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
   return result;
@@ -151,7 +157,7 @@ TEST(Amnesia, ReadOnlyCommitLogsNoDecisionAndLeavesNoOneInDoubt) {
   cluster.RunFor(sim::Seconds(4));
 
   EXPECT_EQ(cluster.stable(0).incarnation(), 1u);
-  EXPECT_EQ(cluster.stable(0).stats().wal_replay_records, 0u);
+  EXPECT_EQ(Counter(cluster, "wal.replay_records"), 0u);
   EXPECT_FALSE(cluster.locks(served_by).Holds(txn, 0, cc::LockMode::kShared));
   for (ProcessorId p : {1, 2}) {
     EXPECT_FALSE(cluster.store(p).HasStage(0)) << "p" << p;
@@ -192,7 +198,7 @@ TEST(Amnesia, ParticipantCrashBetweenPrepareAndOutcomeResolvesViaCoordinator) {
 
   ASSERT_TRUE(commit_status.ok()) << commit_status.ToString();
   EXPECT_EQ(cluster.stable(1).incarnation(), 1u);
-  EXPECT_EQ(cluster.stable(1).stats().wal_replay_records, 1u);  // The prepare.
+  EXPECT_EQ(Counter(cluster, "wal.replay_records"), 1u);  // The prepare.
   for (ProcessorId p = 0; p < 3; ++p) {
     EXPECT_EQ(cluster.store(p).Read(0).value().value, "X") << "p" << p;
   }
@@ -235,6 +241,48 @@ TEST(Amnesia, CrashDuringVpFormationStaysSafeAndConverges) {
   EXPECT_TRUE(cluster.Certify().ok);
 }
 
+// The cluster registry is the only counter store, and it outlives amnesia
+// reboots: what a retired node object counted stays in the totals.
+TEST(Amnesia, RegistryCountsEveryIncarnation) {
+  ClusterConfig config;
+  config.n_processors = 3;
+  config.n_objects = 1;
+  config.seed = 17;
+  config.protocol = Protocol::kVirtualPartition;
+  config.durability = DurabilityMode::kWal;
+  Cluster cluster(config);
+  cluster.RunFor(sim::Seconds(2));
+  ASSERT_TRUE(testutil::RunTxn(cluster, 0, {testutil::Write(0, "X")})
+                  .committed);
+  cluster.RunFor(sim::Millis(500));
+
+  // p1's first incarnation committed joins of its own (its view events
+  // less the initial singleton), and logged the transaction.
+  ASSERT_GT(testutil::Joins(cluster, 1) - 1, 0u);
+  const uint64_t joins = Counter(cluster, "vp.joins");
+  const uint64_t frames = cluster.stable(1).wal().frames().size();
+  ASSERT_GT(frames, 0u);
+
+  cluster.injector().CrashAmnesiaAt(cluster.scheduler().Now(), 1);
+  cluster.RunFor(sim::Millis(100));
+  cluster.Revive(1);  // Reboots p1; its first node object is retired.
+  cluster.RunFor(sim::Seconds(3));
+  ASSERT_TRUE(cluster.VpConverged());
+  ASSERT_EQ(cluster.stable(1).incarnation(), 1u);
+
+  EXPECT_EQ(Counter(cluster, "storage.reboots"), 1u);
+  EXPECT_EQ(Counter(cluster, "wal.replay_records"), frames);
+  EXPECT_GT(Counter(cluster, "vp.joins"), joins);
+  // Every join any incarnation committed, the retired one's included: all
+  // the recorder's join events, less the initial singleton each node
+  // object records at start (three first boots, one reboot).
+  uint64_t join_events = 0;
+  for (ProcessorId p = 0; p < 3; ++p) {
+    join_events += testutil::Joins(cluster, p);
+  }
+  EXPECT_EQ(Counter(cluster, "vp.joins"), join_events - 4);
+}
+
 TEST(Amnesia, DoubleCrashReplaysTheWalTwiceIdempotently) {
   ClusterConfig config;
   config.n_processors = 3;
@@ -261,9 +309,9 @@ TEST(Amnesia, DoubleCrashReplaysTheWalTwiceIdempotently) {
   cluster.RunFor(sim::Seconds(4));
 
   EXPECT_EQ(cluster.stable(1).incarnation(), 2u);
-  EXPECT_EQ(cluster.stable(1).stats().reboots, 2u);
+  EXPECT_EQ(Counter(cluster, "storage.reboots"), 2u);
   // Both passes saw the same two records (prepare + outcome).
-  EXPECT_EQ(cluster.stable(1).stats().wal_replay_records, 4u);
+  EXPECT_EQ(Counter(cluster, "wal.replay_records"), 4u);
   for (ProcessorId p = 0; p < 3; ++p) {
     EXPECT_EQ(cluster.store(p).Read(0).value().value, "X") << "p" << p;
   }
@@ -307,9 +355,9 @@ TEST(Amnesia, TornTailSalvageLeavesThePrepareInDoubt) {
   ASSERT_TRUE(commit_status.ok()) << commit_status.ToString();
   // Salvage truncated exactly the half-written outcome; the intact prepare
   // replayed and went back in doubt.
-  EXPECT_EQ(cluster.stable(1).stats().torn_truncated, 1u);
-  EXPECT_EQ(cluster.stable(1).stats().wal_replay_records, 1u);
-  EXPECT_EQ(cluster.stable(1).stats().quarantined, 0u);
+  EXPECT_EQ(Counter(cluster, "wal.torn_truncated"), 1u);
+  EXPECT_EQ(Counter(cluster, "wal.replay_records"), 1u);
+  EXPECT_EQ(Counter(cluster, "storage.quarantined"), 0u);
   // The in-doubt sweep asked the coordinator and resolved to commit — once:
   // no duplicate stage survives and every copy agrees.
   EXPECT_FALSE(cluster.store(1).HasStage(0));
@@ -358,9 +406,9 @@ DoubleTornResult RunDoubleTornCrash() {
   cluster.RunFor(sim::Seconds(4));
 
   DoubleTornResult out;
-  out.torn_truncated = cluster.stable(1).stats().torn_truncated;
-  out.replayed = cluster.stable(1).stats().wal_replay_records;
-  out.reboots = cluster.stable(1).stats().reboots;
+  out.torn_truncated = Counter(cluster, "wal.torn_truncated");
+  out.replayed = Counter(cluster, "wal.replay_records");
+  out.reboots = cluster.stable(1).incarnation();
   for (ProcessorId p = 0; p < 3; ++p) {
     out.copies.push_back(cluster.store(p).Read(0).value().value);
   }
@@ -466,8 +514,10 @@ TEST(AmnesiaRun, StormTraceIsDeterministic) {
   nemesis::RunOutcome b = nemesis::RunPlan(plan);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.stable.fsyncs, b.stable.fsyncs);
-  EXPECT_EQ(a.stable.wal_replay_records, b.stable.wal_replay_records);
+  for (const char* name : {"wal.fsyncs", "wal.replay_records"}) {
+    EXPECT_EQ(a.metrics.CounterValue(name), b.metrics.CounterValue(name))
+        << name;
+  }
   EXPECT_FALSE(a.violation()) << a.failure;
 }
 

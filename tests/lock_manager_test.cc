@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/sim_runtime.h"
 #include "sim/scheduler.h"
 
@@ -14,9 +15,15 @@ namespace {
 constexpr sim::Duration kTimeout = sim::Millis(100);
 
 struct Fixture {
+  obs::MetricsRegistry metrics{obs::RegistryMode::kSerial};
   sim::Scheduler scheduler;
   runtime::SimExecutor executor{&scheduler};
-  LockManager lm{&executor};
+  LockManager lm{&executor, nullptr, &metrics};
+
+  /// Lock counters ("lock.*") of this fixture's manager alone.
+  uint64_t Count(const char* name) const {
+    return metrics.Snapshot().CounterValue(name);
+  }
 
   Status AcquireNow(TxnId t, ObjectId o, LockMode m) {
     Status result = Status::Internal("callback never ran");
@@ -65,7 +72,7 @@ TEST(LockManager, ReentrantAcquisition) {
   EXPECT_TRUE(f.AcquireNow({1, 1}, 0, LockMode::kExclusive).ok());  // Upgrade.
   EXPECT_TRUE(f.AcquireNow({1, 1}, 0, LockMode::kExclusive).ok());
   EXPECT_TRUE(f.AcquireNow({1, 1}, 0, LockMode::kShared).ok());  // X covers S.
-  EXPECT_EQ(f.lm.stats().upgrades, 1u);
+  EXPECT_EQ(f.Count("lock.upgrades"), 1u);
 }
 
 TEST(LockManager, SoleHolderUpgrades) {
@@ -112,7 +119,7 @@ TEST(LockManager, WaiterTimesOut) {
                [&](Status s) { result = s; });
   f.scheduler.RunUntilIdle();
   EXPECT_TRUE(result.IsTimeout());
-  EXPECT_EQ(f.lm.stats().timeouts, 1u);
+  EXPECT_EQ(f.Count("lock.timeouts"), 1u);
   // The holder is unaffected.
   EXPECT_TRUE(f.lm.Holds({1, 1}, 0, LockMode::kExclusive));
 }
@@ -174,8 +181,8 @@ TEST(LockManager, StatsTrackWaitsAndGrants) {
   EXPECT_TRUE(f.AcquireNow({1, 1}, 0, LockMode::kExclusive).ok());
   f.lm.Acquire({2, 1}, 0, LockMode::kShared, kTimeout, [](Status) {});
   f.lm.ReleaseAll({1, 1});
-  EXPECT_EQ(f.lm.stats().grants, 2u);
-  EXPECT_EQ(f.lm.stats().waits, 1u);
+  EXPECT_EQ(f.Count("lock.grants"), 2u);
+  EXPECT_EQ(f.Count("lock.waits"), 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@ namespace {
 using harness::Cluster;
 using harness::ClusterConfig;
 using harness::Protocol;
+using testutil::Counter;
 
 ClusterConfig Cfg(uint64_t seed) {
   return testutil::Cfg(3, seed, Protocol::kVirtualPartition,
@@ -92,12 +93,14 @@ TEST(NodeBase, AbortIsIdempotent) {
   Cluster cluster(Cfg(3));
   cluster.RunFor(sim::Seconds(1));
   auto& node = cluster.node(0);
+  // Only p0 runs a transaction in this window: the delta is p0's own.
+  const uint64_t aborted = Counter(cluster, "node.txns_aborted");
   TxnId txn = node.NewTxnId();
   node.Begin(txn);
   node.Abort(txn);
   node.Abort(txn);  // No crash, no double accounting.
   cluster.RunFor(sim::Millis(100));
-  EXPECT_EQ(node.stats().txns_aborted, 1u);
+  EXPECT_EQ(Counter(cluster, "node.txns_aborted") - aborted, 1u);
 }
 
 TEST(NodeBase, CommitAfterAbortRejected) {
@@ -311,10 +314,6 @@ uint64_t SentOfType(Cluster& cluster) {
   return cluster.network().stats().sent_by_type[net::Body(T{}).index()];
 }
 
-uint64_t Counter(Cluster& cluster, const char* name) {
-  return cluster.metrics().Snapshot().CounterValue(name);
-}
-
 /// Outcome rounds the coordinators have seen fully acked, and the sum of
 /// their decision-to-last-ack times.
 std::pair<uint64_t, uint64_t> AckedRounds(Cluster& cluster) {
@@ -476,7 +475,8 @@ TEST(RelAcks, InlineServedRequestSendsNoStandaloneAck) {
   // p1 and p2 served the write at once; each reply carried the ack.
   EXPECT_EQ(tap.acks(), 0u);
   EXPECT_EQ(Counter(cluster, "rel.acks_carried") - carried, 2u);
-  EXPECT_EQ(node.stats().rel_retransmits, 0u);
+  // Cluster-wide: no processor, p0 included, has retransmitted anything.
+  EXPECT_EQ(Counter(cluster, "rel.retransmits"), 0u);
   node.Commit(txn, [](Status s) { ASSERT_TRUE(s.ok()); });
   cluster.RunFor(sim::Millis(100));
   EXPECT_EQ(cluster.store(2).Read(0).value().value, "inline");
@@ -499,7 +499,9 @@ TEST(RelAcks, RequestParkedOnALockIsAckedAtOnce) {
 
   RelAckTap tap(&cluster, 0);
   core::NodeBase& node = cluster.node(0);
-  const uint64_t retransmits = node.stats().rel_retransmits;
+  // Cluster-wide: a zero delta means p0, like every other processor,
+  // retransmitted nothing during the wait.
+  const uint64_t retransmits = Counter(cluster, "rel.retransmits");
   const TxnId txn = node.NewTxnId();
   node.Begin(txn);
   bool done = false;
@@ -507,7 +509,7 @@ TEST(RelAcks, RequestParkedOnALockIsAckedAtOnce) {
   cluster.RunFor(sim::Millis(50));
   EXPECT_FALSE(done);  // Still waiting for the lock.
   EXPECT_EQ(tap.acks(), 2u);  // p1's and p2's, each alone.
-  EXPECT_EQ(node.stats().rel_retransmits - retransmits, 0u);
+  EXPECT_EQ(Counter(cluster, "rel.retransmits") - retransmits, 0u);
 }
 
 // --- The R5 recovery exchange at the holder ---

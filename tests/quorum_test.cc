@@ -93,19 +93,19 @@ TEST(Quorum, RowaWritesFailWhenAnyCopyUnreachable) {
 
 TEST(Quorum, RowaReadCostsOnePhysicalAccess) {
   Cluster cluster(QuorumCfg(5, Protocol::kRowa));
-  const auto before = cluster.AggregateStats().phys_reads_sent;
+  const uint64_t before = testutil::Counter(cluster, "phys.reads_sent");
   auto t = RunTxn(cluster, 3, {Read(1)});
   ASSERT_TRUE(t.committed);
-  EXPECT_EQ(cluster.AggregateStats().phys_reads_sent - before, 1u);
+  EXPECT_EQ(testutil::Counter(cluster, "phys.reads_sent") - before, 1u);
 }
 
 TEST(Quorum, MajorityReadCostsQuorumAccesses) {
   Cluster cluster(QuorumCfg(5, Protocol::kMajorityVoting));
-  const auto before = cluster.AggregateStats().phys_reads_sent;
+  const uint64_t before = testutil::Counter(cluster, "phys.reads_sent");
   auto t = RunTxn(cluster, 3, {Read(1)});
   ASSERT_TRUE(t.committed);
   // Minimal selection: exactly ⌈(5+1)/2⌉ = 3 copies contacted.
-  EXPECT_EQ(cluster.AggregateStats().phys_reads_sent - before, 3u);
+  EXPECT_EQ(testutil::Counter(cluster, "phys.reads_sent") - before, 3u);
 }
 
 TEST(Quorum, ConcurrentIncrementsSerialize) {

@@ -17,6 +17,7 @@
 #include "net/network.h"
 #include "net/reliable_channel.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 #include "runtime/sim_runtime.h"
 #include "sim/scheduler.h"
 
@@ -35,11 +36,18 @@ core::msg::Probe Payload(uint64_t seq) {
   return core::msg::Probe{0, VpId{}, seq};
 }
 
-/// A bare network endpoint owning one channel; reliable deliveries land in
-/// `inbox`, anything the channel does not consume in `raw`. `on_deliver`,
-/// if set, runs on each delivery (a reply, say). The first `drop_next`
-/// arrivals are dropped, as if lost on the wire.
+/// Value of a counter in `metrics`.
+uint64_t Count(const obs::MetricsRegistry& metrics, const char* name) {
+  return metrics.Snapshot().CounterValue(name);
+}
+
+/// A bare network endpoint owning one channel and the registry it counts
+/// into (rel.*), so each endpoint's counters stay its own; reliable
+/// deliveries land in `inbox`, anything the channel does not consume in
+/// `raw`. `on_deliver`, if set, runs on each delivery (a reply, say). The
+/// first `drop_next` arrivals are dropped, as if lost on the wire.
 struct Endpoint : public net::NodeInterface {
+  obs::MetricsRegistry metrics{obs::RegistryMode::kSerial};
   ReliableChannel channel;
   std::vector<Message> inbox;
   std::vector<Message> raw;
@@ -48,7 +56,8 @@ struct Endpoint : public net::NodeInterface {
 
   Endpoint(runtime::SimRuntime* rt, ProcessorId id, uint32_t inc,
            ReliableConfig cfg)
-      : channel(rt->clock(), rt->executor(), rt->transport(), id, inc, cfg) {}
+      : channel(rt->clock(), rt->executor(), rt->transport(), id, inc, cfg,
+                &metrics) {}
 
   void HandleMessage(const Message& m) override {
     if (drop_next > 0) {
@@ -102,12 +111,12 @@ TEST(ReliableChannel, DuplicatedTrafficIsDeliveredExactlyOnce) {
   }
   EXPECT_EQ(delivered, (std::multiset<uint64_t>{0, 1, 2, 3, 4}));
   // Receiver dedup swallowed the duplicate copies...
-  EXPECT_GT(rig.b.channel.stats().dup_suppressed, 0u);
+  EXPECT_GT(Count(rig.b.metrics, "rel.dups_suppressed"), 0u);
   // ...and the duplicate acks for already-settled sends were ignored.
-  EXPECT_GT(rig.a.channel.stats().stale_acks, 0u);
-  EXPECT_EQ(rig.a.channel.stats().acks_received, 5u);
+  EXPECT_GT(Count(rig.a.metrics, "rel.stale_acks"), 0u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.acks"), 5u);
   EXPECT_EQ(rig.a.channel.pending_count(), 0u);
-  EXPECT_EQ(rig.a.channel.stats().timed_out, 0u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.timed_out"), 0u);
 }
 
 TEST(ReliableChannel, RetransmissionOutrunsAdversarialReordering) {
@@ -123,10 +132,10 @@ TEST(ReliableChannel, RetransmissionOutrunsAdversarialReordering) {
   rig.sched.RunUntilIdle();
 
   ASSERT_EQ(rig.b.inbox.size(), 3u);
-  EXPECT_GT(rig.a.channel.stats().retransmits, 0u);
-  EXPECT_GT(rig.b.channel.stats().dup_suppressed, 0u);
+  EXPECT_GT(Count(rig.a.metrics, "rel.retransmits"), 0u);
+  EXPECT_GT(Count(rig.b.metrics, "rel.dups_suppressed"), 0u);
   EXPECT_EQ(rig.a.channel.pending_count(), 0u);
-  EXPECT_EQ(rig.a.channel.stats().timed_out, 0u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.timed_out"), 0u);
 }
 
 TEST(ReliableChannel, BackoffCapsAndDeadlineFiresTheTimeoutHook) {
@@ -147,8 +156,8 @@ TEST(ReliableChannel, BackoffCapsAndDeadlineFiresTheTimeoutHook) {
 
   // Delays 1, 2, 4, 4, ... (capped): retransmissions at t = 1, 3 and then
   // every 4ms through 47; the next timer (51ms) is past the deadline.
-  EXPECT_EQ(rig.a.channel.stats().retransmits, 13u);
-  EXPECT_EQ(rig.a.channel.stats().timed_out, 1u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.retransmits"), 13u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.timed_out"), 1u);
   EXPECT_EQ(timeouts_fired, 1);
   EXPECT_EQ(rig.a.channel.pending_count(), 0u);
   EXPECT_TRUE(rig.b.inbox.empty());
@@ -157,9 +166,10 @@ TEST(ReliableChannel, BackoffCapsAndDeadlineFiresTheTimeoutHook) {
 TEST(ReliableChannel, AcksFromAnotherIncarnationAreStale) {
   NetworkConfig nc;
   Rig rig(nc, ReliableConfig{});
+  obs::MetricsRegistry reborn_metrics(obs::RegistryMode::kSerial);
   ReliableChannel reborn(rig.rt.clock(), rig.rt.executor(),
                          rig.rt.transport(), 0, /*incarnation=*/2,
-                         ReliableConfig{});
+                         ReliableConfig{}, &reborn_metrics);
   const uint64_t rel_id = reborn.Send(1, Payload(0));
 
   Message ack;
@@ -172,7 +182,7 @@ TEST(ReliableChannel, AcksFromAnotherIncarnationAreStale) {
   ack.ack_incarnation = 1;
   EXPECT_TRUE(reborn.HandleMessage(ack, [](const Message&) {}));
   EXPECT_EQ(reborn.pending_count(), 1u);
-  EXPECT_EQ(reborn.stats().stale_acks, 1u);
+  EXPECT_EQ(Count(reborn_metrics, "rel.stale_acks"), 1u);
 
   // The same stale ack carried on a reply: the reply is handed up, the
   // ack settles nothing.
@@ -189,12 +199,12 @@ TEST(ReliableChannel, AcksFromAnotherIncarnationAreStale) {
                                    [&](const Message&) { ++delivered; }));
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(reborn.pending_count(), 1u);
-  EXPECT_EQ(reborn.stats().stale_acks, 2u);
+  EXPECT_EQ(Count(reborn_metrics, "rel.stale_acks"), 2u);
 
   ack.ack_incarnation = 2;
   EXPECT_TRUE(reborn.HandleMessage(ack, [](const Message&) {}));
   EXPECT_EQ(reborn.pending_count(), 0u);
-  EXPECT_EQ(reborn.stats().acks_received, 1u);
+  EXPECT_EQ(Count(reborn_metrics, "rel.acks"), 1u);
   reborn.Shutdown();
 }
 
@@ -233,9 +243,9 @@ TEST(ReliableChannel, InlineReplyCarriesTheAck) {
   // acks each reply alone (it does not answer them).
   EXPECT_EQ(AckMsgs(rig), uint64_t{kRequests});
   for (const Message& reply : rig.a.inbox) EXPECT_NE(reply.ack_rel_id, 0u);
-  EXPECT_EQ(rig.a.channel.stats().acks_received, uint64_t{kRequests});
-  EXPECT_EQ(rig.b.channel.stats().acks_received, uint64_t{kRequests});
-  EXPECT_EQ(rig.a.channel.stats().retransmits, 0u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.acks"), uint64_t{kRequests});
+  EXPECT_EQ(Count(rig.b.metrics, "rel.acks"), uint64_t{kRequests});
+  EXPECT_EQ(Count(rig.a.metrics, "rel.retransmits"), 0u);
   EXPECT_EQ(rig.a.channel.pending_count(), 0u);
   EXPECT_EQ(rig.b.channel.pending_count(), 0u);
 }
@@ -248,8 +258,8 @@ TEST(ReliableChannel, DeliveryWithoutAReplyIsAckedAloneAtOnce) {
   rig.sched.RunUntil(rig.sched.Now() + sim::Millis(50));
   ASSERT_EQ(rig.b.inbox.size(), 1u);
   EXPECT_EQ(AckMsgs(rig), 1u);
-  EXPECT_EQ(rig.a.channel.stats().acks_received, 1u);
-  EXPECT_EQ(rig.a.channel.stats().retransmits, 0u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.acks"), 1u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.retransmits"), 0u);
 }
 
 TEST(ReliableChannel, LostReplyIsRepairedByTheRequestRetransmit) {
@@ -265,12 +275,12 @@ TEST(ReliableChannel, LostReplyIsRepairedByTheRequestRetransmit) {
 
   ASSERT_EQ(rig.b.inbox.size(), 1u);
   ASSERT_EQ(rig.a.inbox.size(), 1u);
-  EXPECT_EQ(rig.a.channel.stats().retransmits, 1u);
-  EXPECT_EQ(rig.b.channel.stats().retransmits, 1u);
-  EXPECT_EQ(rig.b.channel.stats().dup_suppressed, 1u);
-  EXPECT_EQ(rig.a.channel.stats().acks_received, 1u);
-  EXPECT_EQ(rig.a.channel.stats().stale_acks, 1u);
-  EXPECT_EQ(rig.b.channel.stats().acks_received, 1u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.retransmits"), 1u);
+  EXPECT_EQ(Count(rig.b.metrics, "rel.retransmits"), 1u);
+  EXPECT_EQ(Count(rig.b.metrics, "rel.dups_suppressed"), 1u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.acks"), 1u);
+  EXPECT_EQ(Count(rig.a.metrics, "rel.stale_acks"), 1u);
+  EXPECT_EQ(Count(rig.b.metrics, "rel.acks"), 1u);
   EXPECT_EQ(rig.a.channel.pending_count(), 0u);
   EXPECT_EQ(rig.b.channel.pending_count(), 0u);
 }
@@ -300,7 +310,7 @@ TEST(ReliableChannel, DedupForgetsIdsBelowTheSendersFloor) {
   ch.HandleMessage(data(5, 1, 5), deliver);
   ch.HandleMessage(data(3, 1, 3), deliver);
   EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(ch.stats().dup_suppressed, 2u);
+  EXPECT_EQ(Count(rig.b.metrics, "rel.dups_suppressed"), 2u);
   // Another incarnation of the same sender keeps its own floor: the
   // orphaned sends of a previous life still get through.
   ch.HandleMessage(data(2, 0, 2), deliver);
@@ -319,9 +329,9 @@ TEST(ReliableChannel, DedupStateStaysBoundedOverManyAckedSends) {
     rig.sched.RunUntilIdle();
     most = std::max(most, rig.b.channel.dedup_size());
   }
-  EXPECT_EQ(rig.b.channel.stats().delivered, uint64_t{kBatches * kBatch});
-  EXPECT_EQ(rig.a.channel.stats().acks_received,
+  EXPECT_EQ(Count(rig.b.metrics, "rel.delivered"),
             uint64_t{kBatches * kBatch});
+  EXPECT_EQ(Count(rig.a.metrics, "rel.acks"), uint64_t{kBatches * kBatch});
   // Only ids at or above the sender's last floor stay: at most one batch.
   EXPECT_LE(most, size_t{kBatch});
 }
@@ -357,7 +367,7 @@ TEST(ReliableDelivery, SurvivesCrashAmnesiaAcrossInFlightRetransmits) {
   EXPECT_FALSE(out.violation()) << out.failure;
   EXPECT_TRUE(out.progress);
   EXPECT_GT(out.retransmits, 0u);
-  EXPECT_GT(out.stable.reboots, 0u);
+  EXPECT_GT(out.metrics.CounterValue("storage.reboots"), 0u);
 }
 
 TEST(ReliableDelivery, NemesisRunsAreDeterministicWithRetries) {

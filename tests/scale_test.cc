@@ -59,9 +59,11 @@ TEST(Scale, FifteenNodesConvergeAndServe) {
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
   // Partial replication: reads still cost at most one physical access
   // each (R2's read-one rule; unavailable reads send none).
-  const auto stats = cluster.AggregateStats();
-  EXPECT_LE(stats.phys_reads_sent, stats.reads_attempted);
-  EXPECT_GE(stats.phys_reads_sent, stats.reads_ok);
+  const obs::MetricsSnapshot m = cluster.metrics().Snapshot();
+  EXPECT_LE(m.CounterValue("phys.reads_sent"),
+            m.CounterValue("node.reads_attempted"));
+  EXPECT_GE(m.CounterValue("phys.reads_sent"),
+            m.CounterValue("phys.reads_completed"));
 }
 
 TEST(Scale, DeterministicAtScale) {

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "obs/metrics.h"
 #include "storage/placement.h"
 #include "storage/replica_store.h"
 #include "storage/stable_store.h"
@@ -389,6 +390,12 @@ TEST(Wal, SalvageAllInvalidIsATornTailNotRot) {
 
 // --- StableStore integrity ---
 
+/// Value of a counter in `metrics` (each test's device counts into a
+/// registry of its own).
+uint64_t Count(const obs::MetricsRegistry& metrics, const char* name) {
+  return metrics.Snapshot().CounterValue(name);
+}
+
 TEST(StableStore, PersistedImageVerifies) {
   StableStore dev(DurabilityMode::kWal);
   dev.PersistCopy(0, "value", VpId{3, 1}, {});
@@ -414,6 +421,8 @@ TEST(StableStore, TornImageFailsVerification) {
 
 TEST(StableStore, NoChecksumServesRotVerbatim) {
   StableStore dev(DurabilityMode::kWal, IntegrityMode::kNoChecksum);
+  obs::MetricsRegistry metrics(obs::RegistryMode::kSerial);
+  dev.AttachMetrics(&metrics);
   dev.PersistCopy(0, "value", VpId{3, 1}, {});
   dev.CorruptCopyImage(0);
   // The strawman accepts the rot — this is what corruption campaigns must
@@ -425,18 +434,20 @@ TEST(StableStore, NoChecksumServesRotVerbatim) {
   // No salvage ran: the rotted frame is still there to be replayed.
   EXPECT_EQ(dev.wal().frames().size(), 1u);
   EXPECT_FALSE(dev.quarantined());
-  EXPECT_EQ(dev.stats().torn_truncated, 0u);
+  EXPECT_EQ(Count(metrics, "wal.torn_truncated"), 0u);
   dev.EndReplay();
 }
 
 TEST(StableStore, BeginReplaySalvagesTornTail) {
   StableStore dev(DurabilityMode::kWal);
+  obs::MetricsRegistry metrics(obs::RegistryMode::kSerial);
+  dev.AttachMetrics(&metrics);
   dev.AppendWal(MakePrepare(1));
   dev.AppendWal(MakeOutcome(1, /*committed=*/true));
   dev.TearTailOnCrash(/*drop=*/false);
   dev.BeginReplay();
   EXPECT_TRUE(dev.replaying());
-  EXPECT_EQ(dev.stats().torn_truncated, 1u);
+  EXPECT_EQ(Count(metrics, "wal.torn_truncated"), 1u);
   EXPECT_FALSE(dev.quarantined());
   ASSERT_EQ(dev.wal().frames().size(), 1u);
   EXPECT_EQ(dev.wal().frames()[0].rec.txn.seq, 1u);
@@ -456,6 +467,8 @@ TEST(StableStore, BeginReplayQuarantinesMidLogRot) {
 
 TEST(StableStore, TearTailOnCrashAfterDecisionIsAPhantom) {
   StableStore dev(DurabilityMode::kWal);
+  obs::MetricsRegistry metrics(obs::RegistryMode::kSerial);
+  dev.AttachMetrics(&metrics);
   dev.AppendWal(MakePrepare(1));
   dev.AppendWal(MakeDecision(1));
   // The decision's fsync completed and was externalized as the commit
@@ -467,13 +480,15 @@ TEST(StableStore, TearTailOnCrashAfterDecisionIsAPhantom) {
   dev.BeginReplay();
   ASSERT_EQ(dev.wal().frames().size(), 2u);
   EXPECT_EQ(dev.wal().frames()[1].rec.type, WalRecord::Type::kDecision);
-  EXPECT_EQ(dev.stats().torn_truncated, 1u);
+  EXPECT_EQ(Count(metrics, "wal.torn_truncated"), 1u);
   EXPECT_FALSE(dev.quarantined());
   dev.EndReplay();
 }
 
 TEST(StableStore, TearTailOnCrashAfterPrepareIsAPhantom) {
   StableStore dev(DurabilityMode::kWal);
+  obs::MetricsRegistry metrics(obs::RegistryMode::kSerial);
+  dev.AttachMetrics(&metrics);
   dev.AppendWal(MakeDecision(1));
   dev.AppendWal(MakePrepare(2));
   // The prepare's fsync completed before the participant acked the write;
@@ -487,12 +502,14 @@ TEST(StableStore, TearTailOnCrashAfterPrepareIsAPhantom) {
   dev.BeginReplay();
   ASSERT_EQ(dev.wal().frames().size(), 2u);
   EXPECT_EQ(dev.wal().frames()[1].rec.type, WalRecord::Type::kPrepare);
-  EXPECT_EQ(dev.stats().torn_truncated, 1u);
+  EXPECT_EQ(Count(metrics, "wal.torn_truncated"), 1u);
   dev.EndReplay();
 }
 
 TEST(StableStore, DoubleCrashDuringReplayRestartsSalvageCleanly) {
   StableStore dev(DurabilityMode::kWal);
+  obs::MetricsRegistry metrics(obs::RegistryMode::kSerial);
+  dev.AttachMetrics(&metrics);
   dev.AppendWal(MakePrepare(1));
   dev.AppendWal(MakeDecision(1));
   dev.AppendWal(MakeOutcome(2, /*committed=*/false));
@@ -500,7 +517,7 @@ TEST(StableStore, DoubleCrashDuringReplayRestartsSalvageCleanly) {
   dev.BeginIncarnation();
   dev.BeginReplay();
   ASSERT_TRUE(dev.replaying());
-  EXPECT_EQ(dev.stats().torn_truncated, 1u);
+  EXPECT_EQ(Count(metrics, "wal.torn_truncated"), 1u);
   const size_t frames_after_first = dev.wal().frames().size();
   // Second amnesia crash mid-replay: the reboot tears whatever persist was
   // in flight (here a phantom — the salvaged tail ends in the decision) and
@@ -510,7 +527,7 @@ TEST(StableStore, DoubleCrashDuringReplayRestartsSalvageCleanly) {
   dev.BeginIncarnation();
   EXPECT_FALSE(dev.replaying());
   dev.BeginReplay();
-  EXPECT_EQ(dev.stats().torn_truncated, 2u);
+  EXPECT_EQ(Count(metrics, "wal.torn_truncated"), 2u);
   EXPECT_EQ(dev.wal().frames().size(), frames_after_first);
   EXPECT_EQ(dev.wal().frames().back().rec.type, WalRecord::Type::kDecision);
   EXPECT_FALSE(dev.quarantined());
@@ -552,6 +569,8 @@ TEST(StableStore, CorruptWalPrepareIndexesNewestFirst) {
 
 TEST(ReplicaStore, AttachStableQuarantinesRottedImage) {
   StableStore dev(DurabilityMode::kWal);
+  obs::MetricsRegistry metrics(obs::RegistryMode::kSerial);
+  dev.AttachMetrics(&metrics);
   {
     // First incarnation persists two committed copies.
     ReplicaStore s;
@@ -575,7 +594,7 @@ TEST(ReplicaStore, AttachStableQuarantinesRottedImage) {
   EXPECT_FALSE(reborn.IsQuarantined(1));
   EXPECT_EQ(reborn.Read(0).value().date, kEpochDate);
   EXPECT_NE(reborn.Read(0).value().value, "committed");
-  EXPECT_EQ(dev.stats().quarantined, 1u);
+  EXPECT_EQ(Count(metrics, "storage.quarantined"), 1u);
   // Recovery rebuilds the copy from a live one; clearing the quarantine is
   // the scrub repair.
   ASSERT_TRUE(reborn.InstallRecovery(0, "committed", VpId{4, 2}).ok());

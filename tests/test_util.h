@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -34,6 +35,40 @@ inline std::vector<core::NodeBase*> AllNodes(harness::Cluster& cluster) {
   for (ProcessorId p = 0; p < cluster.size(); ++p)
     nodes.push_back(&cluster.node(p));
   return nodes;
+}
+
+/// Cluster-wide value of a registry counter (0 if nothing registered it).
+/// The registry sums every processor and incarnation; a test that pins one
+/// processor's count reads it over a window in which only that processor
+/// can move the counter, and says so.
+inline uint64_t Counter(harness::Cluster& cluster, std::string_view name) {
+  return cluster.metrics().Snapshot().CounterValue(name);
+}
+
+/// How far registry counters have moved since construction:
+/// `delta("vp.joins")` reads the cluster's counter now, minus its value
+/// when the CounterDelta was made.
+class CounterDelta {
+ public:
+  explicit CounterDelta(harness::Cluster& cluster)
+      : cluster_(&cluster), before_(cluster.metrics().Snapshot()) {}
+  uint64_t operator()(std::string_view name) const {
+    return Counter(*cluster_, name) - before_.CounterValue(name);
+  }
+
+ private:
+  harness::Cluster* cluster_;
+  obs::MetricsSnapshot before_;
+};
+
+/// Virtual partitions processor `p` has joined so far, from the recorder's
+/// view events (its initial singleton partition included).
+inline uint64_t Joins(harness::Cluster& cluster, ProcessorId p) {
+  uint64_t joins = 0;
+  for (const auto& e : cluster.recorder().view_events()) {
+    if (e.p == p && e.is_join) ++joins;
+  }
+  return joins;
 }
 
 struct ScriptOp {

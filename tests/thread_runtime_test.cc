@@ -218,6 +218,34 @@ TEST(ThreadRuntimeWheel, RunOnRacingStopTerminates) {
   }
 }
 
+// runtime.strand_queue_depth measures runnable work. A strand that arms
+// many timers (tombstoning half of them at once) and posts one task has
+// one task to run, not a queue as deep as its timer heap.
+TEST(ThreadRuntimeWheel, StrandDepthCountsOnlyRunnableTasks) {
+  obs::MetricsRegistry reg(obs::RegistryMode::kConcurrent);
+  ThreadRuntime::Config cfg;
+  cfg.metrics = &reg;
+  ThreadRuntime rt(1, cfg);
+  constexpr uint64_t kTimers = 64;
+  ASSERT_TRUE(rt.RunOn(0, [&] {
+    runtime::Executor* ex = rt.executor(0);
+    for (uint64_t i = 0; i < kTimers; ++i) {
+      const runtime::TaskId id = ex->ScheduleAfter(sim::Seconds(60), [] {});
+      if (i % 2 == 0) ex->Cancel(id);
+    }
+    ex->ScheduleAfter(0, [] {});
+  }));
+  rt.Stop();
+  const obs::Histogram* depth = reg.histogram("runtime.strand_queue_depth");
+  EXPECT_GE(depth->Count(), 2u);  // The RunOn task and the posted one.
+  uint64_t deep = 0;  // Observations of kTimers or more queued tasks.
+  for (size_t i = obs::Histogram::BucketIndex(kTimers);
+       i < obs::Histogram::kBuckets; ++i) {
+    deep += depth->BucketCount(i);
+  }
+  EXPECT_EQ(deep, 0u);
+}
+
 /// A probe from processor 0 to 1; `seq` tells messages apart.
 net::Message Probe(uint64_t seq) {
   net::Message m;

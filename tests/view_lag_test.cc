@@ -49,15 +49,16 @@ TEST(ViewLag, StragglerRecoversCurrentValuesViaCopyUpdate) {
   testutil::TxnOutcome stale = testutil::RunTxn(cluster, 4, {testutil::Read(0)});
   EXPECT_FALSE(stale.committed);
 
-  const uint64_t joins_before = cluster.node(4).stats().vp_joins;
+  const uint64_t joins_before = testutil::Joins(cluster, 4);
   cluster.graph().Heal();
   cluster.RunFor(sim::Seconds(3));
 
-  // p4 rejoined through a new vp and copy-update ran: recovery reads were
-  // sent, and its physical copies now hold the values committed without it.
+  // p4 rejoined through a new vp and copy-update ran: its store installed
+  // recovered values, and its physical copies now hold the values committed
+  // without it.
   EXPECT_TRUE(cluster.VpConverged());
-  EXPECT_GT(cluster.node(4).stats().vp_joins, joins_before);
-  EXPECT_GT(cluster.node(4).stats().recovery_reads_sent, 0u);
+  EXPECT_GT(testutil::Joins(cluster, 4), joins_before);
+  EXPECT_GT(cluster.store(4).stats().recoveries, 0u);
   EXPECT_EQ(cluster.store(4).Read(0).value().value, "v3");
   EXPECT_EQ(cluster.store(4).Read(1).value().value, "w3");
 

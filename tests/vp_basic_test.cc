@@ -80,7 +80,8 @@ TEST(VpBasic, ReadUsesOnePhysicalAccess) {
   ASSERT_TRUE(cluster.VpConverged());
 
   auto& node = cluster.vp_node(2);
-  const uint64_t before = node.stats().phys_reads_sent;
+  // No other processor reads in this window: the delta is p2's own.
+  const uint64_t before = testutil::Counter(cluster, "phys.reads_sent");
   TxnId txn = node.NewTxnId();
   node.Begin(txn);
   bool done = false;
@@ -90,7 +91,7 @@ TEST(VpBasic, ReadUsesOnePhysicalAccess) {
   });
   cluster.RunFor(sim::Millis(100));
   ASSERT_TRUE(done);
-  EXPECT_EQ(node.stats().phys_reads_sent - before, 1u);
+  EXPECT_EQ(testutil::Counter(cluster, "phys.reads_sent") - before, 1u);
   node.Commit(txn, [](Status) {});
   cluster.RunFor(sim::Millis(100));
 }

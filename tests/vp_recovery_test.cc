@@ -2,6 +2,8 @@
 // the previous-partition skip, and log-suffix catch-up, all carried by one
 // recovery exchange per (recovering member, holder) per join.
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,8 @@ using core::RecoveryMode;
 using harness::Cluster;
 using harness::ClusterConfig;
 using harness::Protocol;
+using testutil::Counter;
+using testutil::CounterDelta;
 using testutil::RunTxn;
 using testutil::Write;
 
@@ -53,7 +57,7 @@ TEST(VpRecovery, FullReadBringsStaleCopiesUpToDate) {
     EXPECT_EQ(cluster.store(p).Read(0).value().value, "v2") << "p" << p;
   }
   // Full-read mode reads remote copies on every join.
-  EXPECT_GT(cluster.AggregateStats().recovery_reads_sent, 0u);
+  EXPECT_GT(Counter(cluster, "vp.recovery_reads_sent"), 0u);
   auto cert = cluster.Certify();
   EXPECT_TRUE(cert.ok) << cert.detail;
 }
@@ -65,7 +69,7 @@ TEST(VpRecovery, LogCatchupBringsStaleCopiesUpToDate) {
     EXPECT_EQ(cluster.store(p).Read(0).value().value, "v3") << "p" << p;
   }
   // Catch-up fetched log records rather than whole values.
-  EXPECT_GT(cluster.AggregateStats().recovery_log_records, 0u);
+  EXPECT_GT(Counter(cluster, "vp.recovery_log_records"), 0u);
   auto cert = cluster.Certify();
   EXPECT_TRUE(cert.ok) << cert.detail;
 }
@@ -75,11 +79,11 @@ TEST(VpRecovery, LogCatchupFetchesOnlyMissedSuffix) {
   // should apply ~4 records per healing copy, not the whole history.
   Cluster cluster(RecoveryConfig(RecoveryMode::kLogCatchup));
   WriteBehindPartition(cluster, 0, 4);
-  const auto stats = cluster.AggregateStats();
+  const uint64_t records = Counter(cluster, "vp.recovery_log_records");
   // Two minority nodes catching up 4 records each (majority members skip
   // or fetch empty suffixes); allow slack for view churn re-initialization.
-  EXPECT_GE(stats.recovery_log_records, 8u);
-  EXPECT_LE(stats.recovery_log_records, 40u);
+  EXPECT_GE(records, 8u);
+  EXPECT_LE(records, 40u);
 }
 
 TEST(VpRecovery, PreviousSkipAvoidsWorkOnCleanSplit) {
@@ -89,15 +93,14 @@ TEST(VpRecovery, PreviousSkipAvoidsWorkOnCleanSplit) {
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(1));
   ASSERT_TRUE(cluster.VpConverged());
-  const auto before = cluster.AggregateStats();
+  const CounterDelta delta(cluster);
 
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
-  const auto after = cluster.AggregateStats();
   // The split produced joins but no recovery reads (all-same-previous).
-  EXPECT_GT(after.vp_joins, before.vp_joins);
-  EXPECT_EQ(after.recovery_reads_sent, before.recovery_reads_sent);
-  EXPECT_GT(after.recovery_skipped_objects, before.recovery_skipped_objects);
+  EXPECT_GT(delta("vp.joins"), 0u);
+  EXPECT_EQ(delta("vp.recovery_reads_sent"), 0u);
+  EXPECT_GT(delta("vp.recovery_skipped_objects"), 0u);
 
   // And the data is still correct afterwards.
   auto t = RunTxn(cluster, 3, {Write(0, "post-split")});
@@ -111,13 +114,12 @@ TEST(VpRecovery, FullReadModeDoesNotSkipOnSplit) {
   ClusterConfig config = RecoveryConfig(RecoveryMode::kFullRead);
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(1));
-  const auto before = cluster.AggregateStats();
+  const CounterDelta delta(cluster);
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
-  const auto after = cluster.AggregateStats();
   // The baseline §5 protocol re-reads copies even on a clean split.
-  EXPECT_GT(after.recovery_reads_sent, before.recovery_reads_sent);
-  EXPECT_EQ(after.recovery_skipped_objects, before.recovery_skipped_objects);
+  EXPECT_GT(delta("vp.recovery_reads_sent"), 0u);
+  EXPECT_EQ(delta("vp.recovery_skipped_objects"), 0u);
 }
 
 TEST(VpRecovery, ObjectsLockedDuringInitializationThenReleased) {
@@ -171,14 +173,6 @@ uint64_t Sent(Cluster& cluster, const net::Body& kind) {
   return cluster.network().stats().sent_by_type[kind.index()];
 }
 
-uint64_t Counter(Cluster& cluster, const char* name) {
-  return cluster.metrics().Snapshot().CounterValue(name);
-}
-
-uint64_t Creations(Cluster& cluster) {
-  return cluster.AggregateStats().vp_creations_initiated;
-}
-
 /// Stands in front of processor `p` on the network. `filter` sees every
 /// message first; returning false swallows it.
 class Tap : public net::NodeInterface {
@@ -222,7 +216,7 @@ TEST(VpRecoveryExchange, JoinSendsOneRequestPerRemoteHolder) {
 
   std::vector<uint64_t> joins;
   for (ProcessorId p = 0; p < 5; ++p) {
-    joins.push_back(cluster.node(p).stats().vp_joins);
+    joins.push_back(testutil::Joins(cluster, p));
   }
   const uint64_t requests = Sent(cluster, core::msg::RecoveryRead{});
   const uint64_t replies = Sent(cluster, core::msg::RecoveryReply{});
@@ -231,7 +225,7 @@ TEST(VpRecoveryExchange, JoinSendsOneRequestPerRemoteHolder) {
   cluster.vp_node(2).ForceCreateNewVp();
   cluster.RunFor(sim::Millis(60));
   for (ProcessorId p = 0; p < 5; ++p) {
-    ASSERT_EQ(cluster.node(p).stats().vp_joins - joins[p], 1u) << "p" << p;
+    ASSERT_EQ(testutil::Joins(cluster, p) - joins[p], 1u) << "p" << p;
     EXPECT_TRUE(cluster.vp_node(p).locked_objects().empty()) << "p" << p;
   }
   // Five recovering members, four remote holders each: 20 requests of 64
@@ -268,14 +262,13 @@ TEST(VpRecoveryExchange, DroppedRequestIsRepairedByOneRetransmit) {
     ++dropped;
     return false;
   };
-  const uint64_t creations = Creations(cluster);
-  const uint64_t retransmits = cluster.AggregateStats().rel_retransmits;
+  const CounterDelta delta(cluster);
   cluster.vp_node(0).ForceCreateNewVp();
   cluster.RunFor(sim::Millis(200));
   EXPECT_EQ(dropped, 1);
-  EXPECT_EQ(cluster.AggregateStats().rel_retransmits - retransmits, 1u);
+  EXPECT_EQ(delta("rel.retransmits"), 1u);
   // The forced formation only: the lost request formed no new view.
-  EXPECT_EQ(Creations(cluster) - creations, 1u);
+  EXPECT_EQ(delta("vp.creations_initiated"), 1u);
   for (ProcessorId p = 0; p < 3; ++p) {
     EXPECT_TRUE(cluster.vp_node(p).locked_objects().empty()) << "p" << p;
   }
@@ -323,7 +316,7 @@ TEST(VpRecoveryExchange, RequestAheadOfTheHoldersCommitIsDeferredToItsJoin) {
   Tap member(&cluster, 1);
   initiator.filter = count;
   member.filter = count;
-  const uint64_t creations = Creations(cluster);
+  const CounterDelta delta(cluster);
   cluster.vp_node(0).ForceCreateNewVp();
   cluster.RunFor(sim::Millis(200));
   ASSERT_TRUE(released);
@@ -331,7 +324,7 @@ TEST(VpRecoveryExchange, RequestAheadOfTheHoldersCommitIsDeferredToItsJoin) {
   EXPECT_TRUE(parked_unassigned);
   EXPECT_EQ(served, 8);
   EXPECT_EQ(nacked, 0);
-  EXPECT_EQ(Creations(cluster) - creations, 1u);
+  EXPECT_EQ(delta("vp.creations_initiated"), 1u);
   for (ProcessorId p = 0; p < 3; ++p) {
     EXPECT_TRUE(cluster.vp_node(p).locked_objects().empty()) << "p" << p;
   }
@@ -382,14 +375,15 @@ TEST(VpRecoveryExchange, LateReplyFromAnEarlierJoinIsIgnored) {
 
 /// E7's scenario (bench_partition_init): the minority misses five writes
 /// of object 0 and heals.
-core::ProtocolStats E7Heal(RecoveryMode mode, uint64_t* items) {
+/// Returns how far each registry counter moved from before the split to the
+/// end of the heal.
+std::map<std::string, uint64_t> E7Heal(RecoveryMode mode) {
   ClusterConfig config = RecoveryConfig(mode, 705);
   config.n_objects = 4;
   config.durability = storage::DurabilityMode::kWal;
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(1));
-  const auto before = cluster.AggregateStats();
-  const uint64_t items_before = Counter(cluster, "vp.recovery_items");
+  const CounterDelta delta(cluster);
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
   for (int i = 0; i < 5; ++i) {
@@ -406,36 +400,29 @@ core::ProtocolStats E7Heal(RecoveryMode mode, uint64_t* items) {
   for (ProcessorId p = 0; p < 5; ++p) {
     EXPECT_EQ(cluster.store(p).Read(0).value().value, std::string(16, 'e'));
   }
-  const auto after = cluster.AggregateStats();
-  *items = Counter(cluster, "vp.recovery_items") - items_before;
-  core::ProtocolStats d;
-  d.recovery_reads_sent = after.recovery_reads_sent - before.recovery_reads_sent;
-  d.recovery_date_polls = after.recovery_date_polls - before.recovery_date_polls;
-  d.recovery_value_fetches =
-      after.recovery_value_fetches - before.recovery_value_fetches;
-  d.recovery_log_records =
-      after.recovery_log_records - before.recovery_log_records;
-  d.recovery_skipped_objects =
-      after.recovery_skipped_objects - before.recovery_skipped_objects;
-  return d;
+  std::map<std::string, uint64_t> moved;
+  for (const auto& [name, value] : cluster.metrics().Snapshot().counters) {
+    moved[name] = delta(name);
+  }
+  return moved;
 }
 
 TEST(VpRecoveryExchange, LogCatchupAndDatePollKeepTheirE7Counts) {
-  uint64_t items = 0;
   // E7's rows for 5 missed writes of 16-byte values, and each remote
   // item is exactly one counted read or date poll.
-  const auto log = E7Heal(RecoveryMode::kLogCatchup, &items);
-  EXPECT_EQ(log.recovery_reads_sent, 80u);
-  EXPECT_EQ(log.recovery_log_records, 10u);
-  EXPECT_EQ(log.recovery_skipped_objects, 12u);
-  EXPECT_EQ(items, log.recovery_reads_sent);
+  auto log = E7Heal(RecoveryMode::kLogCatchup);
+  EXPECT_EQ(log["vp.recovery_reads_sent"], 80u);
+  EXPECT_EQ(log["vp.recovery_log_records"], 10u);
+  EXPECT_EQ(log["vp.recovery_skipped_objects"], 12u);
+  EXPECT_EQ(log["vp.recovery_items"], log["vp.recovery_reads_sent"]);
 
-  const auto date = E7Heal(RecoveryMode::kDatePoll, &items);
-  EXPECT_EQ(date.recovery_date_polls, 80u);
-  EXPECT_EQ(date.recovery_value_fetches, 2u);
-  EXPECT_EQ(date.recovery_reads_sent, 2u);
-  EXPECT_EQ(date.recovery_skipped_objects, 12u);
-  EXPECT_EQ(items, date.recovery_reads_sent + date.recovery_date_polls);
+  auto date = E7Heal(RecoveryMode::kDatePoll);
+  EXPECT_EQ(date["vp.recovery_date_polls"], 80u);
+  EXPECT_EQ(date["vp.recovery_value_fetches"], 2u);
+  EXPECT_EQ(date["vp.recovery_reads_sent"], 2u);
+  EXPECT_EQ(date["vp.recovery_skipped_objects"], 12u);
+  EXPECT_EQ(date["vp.recovery_items"],
+            date["vp.recovery_reads_sent"] + date["vp.recovery_date_polls"]);
 }
 
 }  // namespace

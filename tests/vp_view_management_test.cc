@@ -35,6 +35,17 @@ void Inject(Cluster& cluster, ProcessorId src, ProcessorId dst,
   cluster.network().Send(std::move(m));
 }
 
+/// Virtual partitions processor `p` formed itself and joined (their ids
+/// carry p), from the recorder's view events: the creations p initiated
+/// that committed, plus its initial singleton partition.
+uint64_t SelfFormedJoins(Cluster& cluster, ProcessorId p) {
+  uint64_t joins = 0;
+  for (const auto& e : cluster.recorder().view_events()) {
+    if (e.p == p && e.is_join && e.vp.p == p) ++joins;
+  }
+  return joins;
+}
+
 ClusterConfig Cfg(uint32_t n, uint64_t seed = 13) {
   return testutil::Cfg(n, seed, Protocol::kVirtualPartition,
                        /*n_objects=*/2);
@@ -135,14 +146,14 @@ TEST(VpCreation, DuplicateCommitIsIdempotent) {
   cluster.RunFor(sim::Seconds(1));
   ASSERT_TRUE(cluster.VpConverged());
   auto& node = cluster.vp_node(1);
-  const uint64_t joins_before = node.stats().vp_joins;
+  const uint64_t joins_before = testutil::Joins(cluster, 1);
 
   VpCommit dup;
   dup.v = node.cur_id();
   dup.view = node.view();
   Inject(cluster, node.cur_id().p, 1, dup);
   cluster.RunFor(sim::Millis(20));
-  EXPECT_EQ(node.stats().vp_joins, joins_before);  // No re-join.
+  EXPECT_EQ(testutil::Joins(cluster, 1), joins_before);  // No re-join.
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
 }
 
@@ -276,13 +287,13 @@ TEST(VpNoResponse, TimerOfAnOpOutlivedByItsViewFormsNoNewView) {
   ASSERT_TRUE(node.assigned());
   ASSERT_EQ(node.view(), (std::set<ProcessorId>{0, 1}));
   const VpId joined = node.cur_id();
-  const uint64_t created = node.stats().vp_creations_initiated;
+  const uint64_t created = SelfFormedJoins(cluster, 0);
 
   // Past the timer (2δ + lock timeout after the write) and a probe round.
   cluster.RunFor(sim::Millis(300));
   ASSERT_TRUE(out.done);
   EXPECT_FALSE(out.committed);
-  EXPECT_EQ(node.stats().vp_creations_initiated, created);
+  EXPECT_EQ(SelfFormedJoins(cluster, 0), created);
   EXPECT_EQ(node.cur_id(), joined);
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
 }
@@ -298,7 +309,7 @@ TEST(VpNoResponse, SilentHolderStillInTheViewForcesAViewChange) {
   auto& node = cluster.vp_node(0);
   DropPhysWrites drop(&cluster, 2);
   const VpId before = node.cur_id();
-  const uint64_t created = node.stats().vp_creations_initiated;
+  const uint64_t created = SelfFormedJoins(cluster, 0);
 
   testutil::TxnOutcome out;
   testutil::StartScriptedTxn(node, {testutil::Write(0, "x")}, &out);
@@ -306,7 +317,7 @@ TEST(VpNoResponse, SilentHolderStillInTheViewForcesAViewChange) {
   ASSERT_TRUE(out.done);
   EXPECT_FALSE(out.committed);
   EXPECT_TRUE(out.failure.IsTimeout()) << out.failure.ToString();
-  EXPECT_EQ(node.stats().vp_creations_initiated, created + 1);
+  EXPECT_EQ(SelfFormedJoins(cluster, 0), created + 1);
   EXPECT_LT(before, node.cur_id());
   EXPECT_EQ(node.view(), (std::set<ProcessorId>{0, 1, 2}));
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
@@ -326,9 +337,8 @@ TEST(VpDatePoll, FreshLocalCopySkipsValueFetch) {
   cluster.graph().Heal();
   cluster.RunFor(sim::Seconds(2));
   ASSERT_TRUE(cluster.VpConverged());
-  const auto stats = cluster.AggregateStats();
-  EXPECT_GT(stats.recovery_date_polls, 0u);
-  EXPECT_EQ(stats.recovery_value_fetches, 0u);
+  EXPECT_GT(testutil::Counter(cluster, "vp.recovery_date_polls"), 0u);
+  EXPECT_EQ(testutil::Counter(cluster, "vp.recovery_value_fetches"), 0u);
 }
 
 TEST(VpDatePoll, StaleCopyFetchesExactlyOneValue) {
@@ -350,8 +360,7 @@ TEST(VpDatePoll, StaleCopyFetchesExactlyOneValue) {
     EXPECT_EQ(cluster.store(p).Read(0).value().value, "fresh") << "p" << p;
   }
   // Exactly the two stale copies (p0, p1) fetched a value.
-  const auto stats = cluster.AggregateStats();
-  EXPECT_EQ(stats.recovery_value_fetches, 2u);
+  EXPECT_EQ(testutil::Counter(cluster, "vp.recovery_value_fetches"), 2u);
   auto cert = cluster.Certify();
   EXPECT_TRUE(cert.ok) << cert.detail;
 }
